@@ -1,29 +1,20 @@
-// Command benchgate checks a freshly generated BENCH_hot.json against the
-// committed baseline and the hot-path acceptance floors, emitting GitHub
-// Actions annotations (::warning / ::error lines) when the benchmarks
-// regress. It compares only host-relative ratio metrics — the headline
-// speedup and allocation ratio — never absolute ns/op, which is not
-// comparable across runner hardware.
+// Command benchgate gates the freshly generated bench reports, emitting
+// GitHub Actions annotations (::warning / ::error lines) when they regress.
+// It compares only host-relative ratios, latency budgets and correctness
+// invariants — never absolute ns/op, which is not comparable across runner
+// hardware.
 //
 // Usage:
 //
-//	benchgate -fresh BENCH_hot.json [-baseline BENCH_hot.json] [-scale BENCH_scale.json] [-serve BENCH_serve.json] [-emst BENCH_emst.json] [-api BENCH_api.json] [-ooc BENCH_ooc.json] [-strict]
+//	benchgate [-scale BENCH_scale.json] [-serve BENCH_serve.json] [-emst BENCH_emst.json] [-api BENCH_api.json] [-ooc BENCH_ooc.json] [-strict]
 //
-// A metric regresses when it drops more than 10% below the committed
-// baseline, or below the absolute floor the optimization was accepted at
-// (1.3x clustering-phase speedup, 5x allocation reduction, 1.25x
-// indirect-vs-contiguous layout speedup — the last skipped on reports that
-// predate the cell-major payload). A baseline whose
-// recorded thread count differs from the fresh report's is refused (with a
-// ::notice): ratios measured at different worker counts are not comparable,
-// so only the absolute floors are checked. With -scale it gates the scaling
-// report: the thread sweep must cover at least two worker counts, the top
-// self-relative speedup must clear its 1.5x floor (skipped with a ::notice
-// on single-CPU runners, where the floor is physically unreachable), and per
-// dataset the sampled-core (DBSCAN++) rows at frac <= 0.1 must include one
-// with ARI >= 0.95 vs the exact run (hard error otherwise) whose
-// clustering-phase speedup clears the 2x floor. With -serve it
-// additionally gates the serving-path report: mid-run cancellation latency
+// With -scale it gates the scaling report: the thread sweep must cover at
+// least two worker counts, the top self-relative speedup must clear its 1.5x
+// floor (skipped with a ::notice on single-CPU runners, where the floor is
+// physically unreachable), and per dataset the sampled-core (DBSCAN++) rows
+// at frac <= 0.1 must include one with ARI >= 0.95 vs the exact run (hard
+// error otherwise) whose clustering-phase speedup clears the 2x floor. With
+// -serve it gates the serving-path report: mid-run cancellation latency
 // must stay under its 50ms acceptance floor, every cancelled run's recovery
 // must have been label-permutation-equal to the baseline, and the Engine's
 // sampled worker usage must never have exceeded its budget (the last two are
@@ -43,7 +34,8 @@
 // 1.25x the budget (all three hard errors — they are the acceptance criteria
 // of the out-of-core mode); the spill-vs-in-RAM wall-clock ratio is gated
 // softly at 8x, since mapping overhead is host-dependent. Warnings annotate
-// the PR; -strict turns them into errors and a non-zero exit.
+// the PR; -strict turns them into errors and a non-zero exit. A soft ratio
+// regresses when it drops more than 10% below its floor.
 //
 // A report file that simply does not exist — a fresh checkout that has not
 // generated it yet, a CI job whose bench step was skipped — produces a
@@ -58,17 +50,6 @@ import (
 	"os"
 	"time"
 )
-
-// hotHeadline is the subset of the BENCH_hot.json schema the gate reads.
-type hotHeadline struct {
-	Threads               int     `json:"threads"`
-	Headline2DGridSpeedup float64 `json:"headline_2d_grid_speedup"`
-	HeadlineAllocRatio    float64 `json:"headline_alloc_ratio"`
-	// HeadlineLayoutSpeedup is the indirect-vs-contiguous layout speedup;
-	// zero in reports generated before the cell-major payload existed, in
-	// which case its floor is skipped.
-	HeadlineLayoutSpeedup float64 `json:"headline_layout_speedup"`
-}
 
 // emstHeadline is the subset of the BENCH_emst.json schema the gate reads.
 type emstHeadline struct {
@@ -125,19 +106,11 @@ type serveHeadline struct {
 	BudgetConformant    bool  `json:"budget_conformant"`
 }
 
-// Acceptance floors of the hot-path optimization, with the 10% regression
-// grace applied by the caller; of the serving path (cancellation latency,
-// absolute — it is a latency budget, not a host-relative ratio); and of the
-// EMST hierarchy (sweep amortization over independent runs, a ratio).
+// Acceptance floors of the serving path (cancellation latency, absolute —
+// it is a latency budget, not a host-relative ratio) and of the EMST
+// hierarchy (sweep amortization over independent runs, a ratio), with the
+// 10% regression grace applied by the callers.
 const (
-	floorSpeedup    = 1.3
-	floorAllocRatio = 5.0
-	// floorLayoutSpeedup is the cell-major payload's acceptance floor: the
-	// headline configuration must cluster at least 1.25x faster over the
-	// contiguous layout than over the indirect one with kernels and arena
-	// held identical. Soft (a warning with the usual grace), since the
-	// layout win is the most cache-sensitive of the ratios.
-	floorLayoutSpeedup    = 1.25
 	grace                 = 0.9 // >10% below a reference counts as a regression
 	floorCancelLatency    = 50 * time.Millisecond
 	floorEmstAmortization = 5.0
@@ -189,19 +162,7 @@ func (g *gate) fail(format string, args ...any) {
 	fmt.Printf("::error ::"+format+"\n", args...)
 }
 
-// check flags a ratio metric that dropped more than the grace below its
-// reference (an acceptance floor or the committed baseline).
-func (g *gate) check(metric string, got, ref float64, refName string) {
-	if got >= ref*grace {
-		return
-	}
-	g.warn("hot benchmark regression: %s = %.2f, more than 10%% below the %s of %.2f",
-		metric, got, refName, ref)
-}
-
 func main() {
-	freshPath := flag.String("fresh", "BENCH_hot.json", "freshly generated report to check")
-	basePath := flag.String("baseline", "", "committed baseline report to compare against (optional)")
 	scalePath := flag.String("scale", "", "freshly generated BENCH_scale.json to gate (optional)")
 	servePath := flag.String("serve", "", "freshly generated BENCH_serve.json to gate (optional)")
 	apiPath := flag.String("api", "", "freshly generated BENCH_api.json to gate (optional)")
@@ -211,46 +172,6 @@ func main() {
 	flag.Parse()
 
 	g := &gate{strict: *strict}
-
-	fresh, err := readHeadline(*freshPath)
-	if err != nil {
-		fmt.Printf("::error ::benchgate: %v\n", err)
-		os.Exit(1)
-	}
-	if fresh != nil {
-		g.check("headline_2d_grid_speedup", fresh.Headline2DGridSpeedup, floorSpeedup, "acceptance floor")
-		g.check("headline_alloc_ratio", fresh.HeadlineAllocRatio, floorAllocRatio, "acceptance floor")
-		if fresh.HeadlineLayoutSpeedup > 0 {
-			g.check("headline_layout_speedup", fresh.HeadlineLayoutSpeedup, floorLayoutSpeedup, "acceptance floor")
-		} else {
-			fmt.Println("::notice ::benchgate: report predates the layout modes (headline_layout_speedup absent); layout floor skipped")
-		}
-
-		if *basePath != "" {
-			base, err := readHeadline(*basePath)
-			switch {
-			case err != nil:
-				// An unreadable baseline is not a regression — the first run
-				// that generates one has nothing to compare against.
-				fmt.Printf("::notice ::benchgate: no usable baseline (%v); checked acceptance floors only\n", err)
-			case base == nil:
-				// readHeadline already printed the missing-file notice.
-			case base.Threads != fresh.Threads:
-				// A baseline measured at a different worker count is not
-				// comparable even on ratio metrics (parallel overheads scale
-				// with it); refuse it rather than let a thread-count change
-				// masquerade as a perf change in either direction.
-				fmt.Printf("::notice ::benchgate: baseline recorded at threads=%d but fresh report at threads=%d; thread-mismatched baselines are not comparable, checked acceptance floors only\n",
-					base.Threads, fresh.Threads)
-			default:
-				g.check("headline_2d_grid_speedup", fresh.Headline2DGridSpeedup, base.Headline2DGridSpeedup, "committed baseline")
-				g.check("headline_alloc_ratio", fresh.HeadlineAllocRatio, base.HeadlineAllocRatio, "committed baseline")
-				if fresh.HeadlineLayoutSpeedup > 0 && base.HeadlineLayoutSpeedup > 0 {
-					g.check("headline_layout_speedup", fresh.HeadlineLayoutSpeedup, base.HeadlineLayoutSpeedup, "committed baseline")
-				}
-			}
-		}
-	}
 
 	if *scalePath != "" {
 		scale, err := readScale(*scalePath)
@@ -304,16 +225,7 @@ func main() {
 	}
 
 	if !g.regressed && !g.hardFail {
-		if fresh != nil {
-			layout := ""
-			if fresh.HeadlineLayoutSpeedup > 0 {
-				layout = fmt.Sprintf(", layout %.2fx >= %.2f", fresh.HeadlineLayoutSpeedup, floorLayoutSpeedup*grace)
-			}
-			fmt.Printf("benchgate: ok (speedup %.2fx >= %.2f, alloc ratio %.1fx >= %.1f%s)\n",
-				fresh.Headline2DGridSpeedup, floorSpeedup*grace, fresh.HeadlineAllocRatio, floorAllocRatio*grace, layout)
-		} else {
-			fmt.Println("benchgate: ok (hot report missing, floors skipped)")
-		}
+		fmt.Println("benchgate: ok")
 	}
 	if g.hardFail || (g.regressed && *strict) {
 		os.Exit(1)
@@ -566,22 +478,4 @@ func readServe(path string) (*serveHeadline, error) {
 		return nil, fmt.Errorf("%s: missing serve metrics", path)
 	}
 	return &s, nil
-}
-
-func readHeadline(path string) (*hotHeadline, error) {
-	data, err := os.ReadFile(path)
-	if missingNotice(path, err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	var h hotHeadline
-	if err := json.Unmarshal(data, &h); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if h.Headline2DGridSpeedup == 0 || h.HeadlineAllocRatio == 0 {
-		return nil, fmt.Errorf("%s: missing headline metrics", path)
-	}
-	return &h, nil
 }

@@ -11,74 +11,28 @@ import (
 	"pdbscan/internal/parallel"
 )
 
-// hotRun is one measured configuration of the hot-path experiment.
+// hotRun is one measured configuration of the hot-path experiment: the
+// steady state of repeated Clusterer.Run calls (specialized kernels, warmed
+// scratch arena, cell-major payload) over prebuilt cells.
 type hotRun struct {
-	Method string `json:"method"`
-	D      int    `json:"d"`
-	N      int    `json:"n"`
-	// Mode is one of:
-	//   - "before": generic-D distance loops in the pipeline, no scratch
-	//     arena, cell-major payload disabled — the unspecialized fallback the
-	//     kernels replace (the quadtree and k-d tree keep their own build-time
-	//     kernels, so the *-qt rows isolate mostly the arena);
-	//   - "indirect": dimension-specialized kernels + pooled scratch, but
-	//     ForceIndirectLayout — every distance evaluation gathers its point
-	//     through the per-cell index list;
-	//   - "contiguous": the same kernels and arena over the cell-major payload,
-	//     where each cell's rows are one contiguous coordinate range — the
-	//     steady state of repeated Clusterer.Run calls.
-	// indirect vs contiguous isolates the memory-layout win alone.
-	Mode        string  `json:"mode"`
+	Method      string  `json:"method"`
+	D           int     `json:"d"`
+	N           int     `json:"n"`
 	NsPerOp     int64   `json:"ns_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	Clusters    int     `json:"clusters"`
 }
 
-// hotReport is the BENCH_hot.json schema: before/after clustering-phase
-// latency and allocation counts across methods and dimensionalities, over
-// prebuilt cell structures (grid construction excluded — it is paid once per
-// Clusterer, not per run).
+// hotReport is the BENCH_hot.json schema: clustering-phase latency and
+// allocation counts across methods and dimensionalities, over prebuilt cell
+// structures (grid construction excluded — it is paid once per Clusterer,
+// not per run).
 type hotReport struct {
 	Seed    int64    `json:"seed"`
 	Threads int      `json:"threads"`
 	Runs    []hotRun `json:"runs"`
-	// Headline2DGridSpeedup is before/after ns-per-op for 2d-grid-bcp at the
-	// full point count (the paper's fastest 2D method — the hot path the
-	// kernels and arena target).
-	Headline2DGridSpeedup float64 `json:"headline_2d_grid_speedup"`
-	// HeadlineAllocRatio is seed-vs-now allocs-per-op for the same
-	// configuration: how many fewer heap allocations a steady-state
-	// Clusterer.Run makes than the pre-optimization implementation (see
-	// seedAllocsPerOp). The in-run "before" mode cannot reproduce the seed's
-	// allocation behavior — its per-pair and per-cell allocations were
-	// removed structurally, not by a toggle — so the seed count is pinned
-	// from a direct measurement instead.
-	HeadlineAllocRatio float64 `json:"headline_alloc_ratio"`
-	// SeedAllocsPerOp echoes the pinned seed measurement the ratio is
-	// computed against.
-	SeedAllocsPerOp float64 `json:"seed_allocs_per_op"`
-	// ModeAllocRatio is the in-run before/after allocs-per-op ratio for the
-	// headline configuration (generic+unpooled vs specialized+arena): the
-	// part of the allocation win the arena alone accounts for.
-	ModeAllocRatio float64 `json:"mode_alloc_ratio"`
-	// HeadlineLayoutSpeedup is indirect/contiguous ns-per-op for 2d-grid-bcp
-	// at the full point count: the clustering-phase win of the cell-major
-	// payload alone, with kernels and arena held identical on both sides.
-	HeadlineLayoutSpeedup float64 `json:"headline_layout_speedup"`
 }
-
-// seedAllocsPerOp is the measured allocs-per-op of a repeated, steady-state
-// Clusterer.Run before this optimization pass (commit 371f3d5: generic
-// distance loops, per-run scratch rebuild, per-pair BCP filter allocations),
-// on exactly the headline configuration: ss-varden-2d n=100k seed=1,
-// eps=1000, minPts=100, method 2d-grid-bcp, Workers=1, Shards=1, measured
-// with testing.AllocsPerRun. Allocation counts are deterministic for a fixed
-// configuration and worker budget (they do not depend on machine speed), so
-// the pinned value remains comparable across hosts. Per-op allocations are
-// dominated by per-pair/per-cell work and therefore roughly scale with n;
-// comparing against a larger -n only widens the ratio.
-const seedAllocsPerOp = 4285
 
 // hotConfig is one method x dimension cell of the experiment matrix.
 type hotConfig struct {
@@ -91,14 +45,9 @@ type hotConfig struct {
 }
 
 // expHot measures the clustering phase (MarkCore + ClusterCore +
-// ClusterBorder over prepared cells) in three modes: "before" runs the
-// generic-D distance loops with no arena and no cell-major payload (every
-// run allocates its scratch), "indirect" runs the dimension-specialized
-// kernels with a warmed arena but ForceIndirectLayout (point gathers through
-// per-cell index lists), and "contiguous" runs the same kernels and arena
-// over the cell-major payload (the steady state of repeated Clusterer.Run).
-// Results of all modes are asserted identical on every configuration. With
-// -json it records BENCH_hot.json.
+// ClusterBorder over prepared cells) of repeated core.Run calls with a
+// warmed arena, one row per method x dimension. With -json it records
+// BENCH_hot.json.
 func expHot(o options) {
 	const minPts = 100
 	threads := effectiveThreads(o.threads)
@@ -118,8 +67,8 @@ func expHot(o options) {
 		{name: "approx", d: 5, scale: 5, mark: core.MarkScan, graph: core.GraphApprox, rho: 0.01},
 	}
 
-	tbl := newTable(fmt.Sprintf("hot path: minPts=%d threads=%d (before = generic kernel, no arena, indirect; indirect/contig = specialized + pooled, layout toggled)", minPts, threads),
-		"method", "d", "n", "before", "indirect", "contig", "speedup", "layout", "allocs before", "allocs after", "ratio")
+	tbl := newTable(fmt.Sprintf("hot path: minPts=%d threads=%d (specialized kernels, pooled scratch, cell-major payload)", minPts, threads),
+		"method", "d", "n", "ns/op", "allocs/op", "clusters")
 
 	// Cell structures are shared per (d, n): they depend only on points/eps.
 	type cellKey struct{ d, n int }
@@ -147,39 +96,15 @@ func expHot(o options) {
 
 		params := core.Params{
 			MinPts: minPts, Rho: hc.rho, Mark: hc.mark, Graph: hc.graph, Exec: ex,
+			Arena: core.NewArena(),
 		}
-		before := measureHot(cells, params, true, true, nil)
-		arena := core.NewArena()
-		indirect := measureHot(cells, params, false, true, arena)
-		contig := measureHot(cells, params, false, false, arena)
-		if before.Clusters != indirect.Clusters || before.Clusters != contig.Clusters {
-			fatalf("hot: %s %dd cluster count diverged: before %d, indirect %d, contiguous %d",
-				hc.name, hc.d, before.Clusters, indirect.Clusters, contig.Clusters)
-		}
-		before.Method, before.D, before.N, before.Mode = hc.name, hc.d, n, "before"
-		indirect.Method, indirect.D, indirect.N, indirect.Mode = hc.name, hc.d, n, "indirect"
-		contig.Method, contig.D, contig.N, contig.Mode = hc.name, hc.d, n, "contiguous"
-		rep.Runs = append(rep.Runs, before, indirect, contig)
-
-		speedup := float64(before.NsPerOp) / float64(contig.NsPerOp)
-		layout := float64(indirect.NsPerOp) / float64(contig.NsPerOp)
-		ratio := before.AllocsPerOp / contig.AllocsPerOp
-		if hc.name == "2d-grid-bcp" {
-			rep.Headline2DGridSpeedup = speedup
-			rep.HeadlineLayoutSpeedup = layout
-			rep.SeedAllocsPerOp = seedAllocsPerOp
-			rep.HeadlineAllocRatio = seedAllocsPerOp / contig.AllocsPerOp
-			rep.ModeAllocRatio = ratio
-		}
+		run := measureHot(cells, params)
+		run.Method, run.D, run.N = hc.name, hc.d, n
+		rep.Runs = append(rep.Runs, run)
 		tbl.add(hc.name, fmt.Sprint(hc.d), fmt.Sprint(n),
-			fmtDur(time.Duration(before.NsPerOp)), fmtDur(time.Duration(indirect.NsPerOp)), fmtDur(time.Duration(contig.NsPerOp)),
-			fmt.Sprintf("%.2fx", speedup), fmt.Sprintf("%.2fx", layout),
-			fmt.Sprintf("%.0f", before.AllocsPerOp), fmt.Sprintf("%.0f", contig.AllocsPerOp),
-			fmt.Sprintf("%.1fx", ratio))
+			fmtDur(time.Duration(run.NsPerOp)), fmt.Sprintf("%.0f", run.AllocsPerOp), fmt.Sprint(run.Clusters))
 	}
 	tbl.print()
-	fmt.Printf("\nheadline (2d-grid-bcp, n=%d): %.2fx clustering-phase speedup (%.2fx from the cell-major layout alone); %.0fx fewer allocs/op than the seed implementation (%.0f -> measured above), %.1fx vs the in-run generic/unpooled mode\n",
-		o.n, rep.Headline2DGridSpeedup, rep.HeadlineLayoutSpeedup, rep.HeadlineAllocRatio, rep.SeedAllocsPerOp, rep.ModeAllocRatio)
 
 	if o.jsonPath != "" {
 		writeJSON(o.jsonPath, rep)
@@ -189,12 +114,10 @@ func expHot(o options) {
 
 // shuffleRows deterministically permutes the dataset's row order
 // (Fisher-Yates over a splitmix64 stream). The synthetic generators emit
-// points cluster-by-cluster, an input order so spatially sorted that
-// same-cell points are already adjacent in memory — which hides the
-// indirect layout's gather cost and would understate the cell-major
-// payload's win. Real ingestion orders carry no such correlation between
-// array position and space; the shuffle restores that, and all three modes
-// see the identical permuted input.
+// points cluster-by-cluster, an input order so spatially sorted that the
+// per-point state reached through Order (core flags, labels) is already
+// cache-local. Real ingestion orders carry no such correlation between
+// array position and space; the shuffle restores that.
 func shuffleRows(pts geom.Points, seed uint64) {
 	state := seed*0x9e3779b97f4a7c15 + 1
 	next := func() uint64 {
@@ -228,12 +151,9 @@ func hotEps(d int) float64 {
 
 // measureHot times repeated core.Run calls over prepared cells and reports
 // per-op latency and allocation counts. One warmup run is excluded (it pays
-// lazy builds and, in after mode, the arena's first-fill); measurement then
-// loops until both a minimum op count and a minimum wall time are reached.
-func measureHot(cells *grid.Cells, params core.Params, forceGeneric, forceIndirect bool, arena *core.Arena) hotRun {
-	params.ForceGenericKernel = forceGeneric
-	params.ForceIndirectLayout = forceIndirect
-	params.Arena = arena
+// lazy builds and the arena's first fill); measurement then loops until both
+// a minimum op count and a minimum wall time are reached.
+func measureHot(cells *grid.Cells, params core.Params) hotRun {
 	res, err := core.Run(cells, params)
 	if err != nil {
 		fatalf("hot: %v", err)

@@ -43,7 +43,7 @@ var experiments = map[string]struct {
 	"verify":   {"cross-variant agreement at scale (all exact variants identical)", expVerify},
 	"stream":   {"sliding-window streaming ticks: incremental vs from-scratch (-json records BENCH_stream.json)", expStream},
 	"shard":    {"sharded partition/merge path vs monolithic (-json records BENCH_shard.json)", expShard},
-	"hot":      {"clustering-phase hot path: specialized kernels + arena vs generic fallback (-json records BENCH_hot.json)", expHot},
+	"hot":      {"clustering-phase hot path: steady-state ns/op and allocs/op per method (-json records BENCH_hot.json)", expHot},
 	"scale":    {"multi-core scaling per method (monolithic + sharded) and sampled-core DBSCAN++ accuracy/speedup (-json records BENCH_scale.json)", expScale},
 	"serve":    {"serving path: cancellation latency mid-run + Engine throughput under mixed jobs (-json records BENCH_serve.json)", expServe},
 	"emst":     {"EMST-backed hierarchy: one build amortized over a 16-eps sweep vs independent runs (-json records BENCH_emst.json)", expEmst},

@@ -6,10 +6,8 @@ import (
 	"math"
 	"testing"
 
-	"pdbscan/internal/core"
 	"pdbscan/internal/dataset"
 	"pdbscan/internal/geom"
-	"pdbscan/internal/grid"
 	"pdbscan/internal/metrics"
 )
 
@@ -294,132 +292,6 @@ func FuzzHierarchyCut(f *testing.F) {
 			if err := equivalentResults(cut, batch); err != nil {
 				t.Fatalf("query %d eps=%v minPts=%d n=%d: hierarchy vs batch: %v",
 					qi, q, minPts, n, err)
-			}
-		}
-	})
-}
-
-// FuzzLayoutEquivalence differentially checks the cell-major contiguous
-// layout against the indirect one: the same cells, params, and method run
-// once with the payload active and once with ForceIndirectLayout, and every
-// output — core flags, labels, multi-cluster border sets, cluster count —
-// must be bit-identical, not merely permutation-equal. The fuzz surface is
-// the payload-row index space under adversarial point layouts (duplicate
-// points collapsing into one cell, exact-eps chains, one point per cell) ×
-// method × dimension; the layouts differ only in where the kernels read
-// coordinates from, so any divergence is an index-space translation bug.
-func FuzzLayoutEquivalence(f *testing.F) {
-	// Exact-eps chain (the FuzzShardedCluster layout): cell-boundary
-	// decisions on every link.
-	chain := make([]byte, 0, 24*16)
-	for i := 0; i < 24; i++ {
-		var p [16]byte
-		binary.LittleEndian.PutUint64(p[:8], uint64(i*100))
-		binary.LittleEndian.PutUint64(p[8:], uint64(i%2*25))
-		chain = append(chain, p[:]...)
-	}
-	f.Add(chain, uint8(8), uint8(2), uint8(0), uint8(2))
-	// All points identical: one cell owns the whole payload.
-	f.Add(bytes.Repeat([]byte{42, 0, 42, 0, 42, 0, 42, 0, 42, 0, 42, 0, 42, 0, 42, 0}, 20), uint8(4), uint8(3), uint8(1), uint8(3))
-	// Scattered: roughly one point per cell at small eps.
-	f.Add([]byte{255, 255, 0, 0, 128, 64, 32, 16, 8, 4, 2, 1, 9, 9, 9, 9, 77, 3, 200, 150, 6, 90, 13, 8}, uint8(1), uint8(1), uint8(4), uint8(5))
-	f.Fuzz(func(t *testing.T, raw []byte, epsQ, minPtsQ, methodQ, dimQ uint8) {
-		if len(raw) < 16 {
-			return
-		}
-		if len(raw) > 64*16 {
-			raw = raw[:64*16]
-		}
-		dims := []int{2, 3, 5}
-		d := dims[int(dimQ)%len(dims)]
-		n := len(raw) / (8 * d)
-		if n < 2 {
-			return
-		}
-		data := make([]float64, 0, n*d)
-		for i := 0; i < n*d; i++ {
-			v := binary.LittleEndian.Uint64(raw[i*8:])
-			data = append(data, float64(v%10000)/100)
-		}
-		pts := geom.Points{N: n, D: d, Data: data}
-		eps := 0.1 + float64(epsQ)/8
-
-		type method struct {
-			name  string
-			box   bool // 2D box construction instead of the grid
-			mark  core.MarkStrategy
-			graph core.GraphStrategy
-			rho   float64
-		}
-		methods := []method{
-			{name: "grid-bcp", mark: core.MarkScan, graph: core.GraphBCP},
-			{name: "grid-qt", mark: core.MarkQuadtree, graph: core.GraphQuadtree},
-			{name: "grid-approx", mark: core.MarkScan, graph: core.GraphApprox, rho: 0.01},
-		}
-		if d == 2 {
-			methods = append(methods,
-				method{name: "grid-usec", mark: core.MarkScan, graph: core.GraphUSEC},
-				method{name: "grid-delaunay", mark: core.MarkScan, graph: core.GraphDelaunay},
-				method{name: "box-bcp", box: true, mark: core.MarkScan, graph: core.GraphBCP},
-			)
-		}
-		m := methods[int(methodQ)%len(methods)]
-
-		var cells *grid.Cells
-		if m.box {
-			cells = grid.BuildBox2D(nil, pts, eps)
-			cells.ComputeNeighborsBox2D(nil)
-		} else {
-			cells = grid.BuildGrid(nil, pts, eps)
-			if d <= 3 {
-				cells.ComputeNeighborsEnum(nil)
-			} else {
-				cells.ComputeNeighborsKD(nil)
-			}
-		}
-		if cells.Payload == nil {
-			t.Fatal("cells built without a cell-major payload")
-		}
-		params := core.Params{
-			MinPts: 1 + int(minPtsQ)%6, Rho: m.rho, Mark: m.mark, Graph: m.graph,
-		}
-		contig, err := core.Run(cells, params)
-		if err != nil {
-			t.Fatalf("%s d=%d contiguous: %v", m.name, d, err)
-		}
-		params.ForceIndirectLayout = true
-		indirect, err := core.Run(cells, params)
-		if err != nil {
-			t.Fatalf("%s d=%d indirect: %v", m.name, d, err)
-		}
-
-		if contig.NumClusters != indirect.NumClusters {
-			t.Fatalf("%s d=%d n=%d eps=%v: NumClusters %d (contiguous) vs %d (indirect)",
-				m.name, d, n, eps, contig.NumClusters, indirect.NumClusters)
-		}
-		for i := 0; i < n; i++ {
-			if contig.Core[i] != indirect.Core[i] {
-				t.Fatalf("%s d=%d n=%d eps=%v: Core[%d] %v vs %v",
-					m.name, d, n, eps, i, contig.Core[i], indirect.Core[i])
-			}
-			if contig.Labels[i] != indirect.Labels[i] {
-				t.Fatalf("%s d=%d n=%d eps=%v: Labels[%d] %d vs %d",
-					m.name, d, n, eps, i, contig.Labels[i], indirect.Labels[i])
-			}
-		}
-		if len(contig.Border) != len(indirect.Border) {
-			t.Fatalf("%s d=%d n=%d eps=%v: Border size %d vs %d",
-				m.name, d, n, eps, len(contig.Border), len(indirect.Border))
-		}
-		for p, want := range indirect.Border {
-			got, ok := contig.Border[p]
-			if !ok || len(got) != len(want) {
-				t.Fatalf("%s d=%d n=%d eps=%v: Border[%d] %v vs %v", m.name, d, n, eps, p, got, want)
-			}
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("%s d=%d n=%d eps=%v: Border[%d] %v vs %v", m.name, d, n, eps, p, got, want)
-				}
 			}
 		}
 	})

@@ -72,7 +72,8 @@ type workerScratch struct {
 	primOwn   []int32      // cellMREdges: own-cell core-capable vertex list
 	primVerts []int32      // cellMREdges: per-cell-pair bipartite vertex list
 	primKey   []float64    // primForest: best edge weight to the growing tree
-	primFrom  []int32      // primForest: tree endpoint of the best edge
+	primFrom  []int32      // primForest: tree endpoint (original index) of the best edge
+	primID    []int32      // primForest: original index of each vertex
 	primSide  []bool       // primForest: bipartite side flag per vertex
 }
 

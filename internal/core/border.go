@@ -50,8 +50,8 @@ func (st *pipeline) clusterBorder(labels []int32, numClusters int) map[int32][]i
 				// sample mask big cells hold unsampled non-core points)
 			}
 			built := false
-			pts := st.cellPts(g)
-			orig := c.PointsOf(g) // == pts on the indirect path
+			pts := c.RowsOf(g)
+			orig := c.PointsOf(g) // pts[i] is payload row of original point orig[i]
 			for i, p := range pts {
 				op := orig[i]
 				if st.coreFlags[op] {
@@ -153,26 +153,24 @@ func (st *pipeline) borderScanCell(p, h int32, labels []int32, found []int32) []
 	if st.k.PointBoxDistSqAt(p, st.coreBBLo, st.coreBBHi, h) > st.eps2 {
 		return found
 	}
-	if st.contig {
-		// Full-cell core lists are dense payload row ranges; stream them.
-		if cs := st.cells.CellStart; len(core) == int(cs[h+1]-cs[h]) {
-			if st.k.AnyWithinRange(p, cs[h], cs[h+1], st.eps2) {
-				return insertLabel(found, lbl)
-			}
-			return found
-		}
+	// Full-cell core lists are dense payload row ranges; stream them.
+	var hit bool
+	if cs := st.cells.CellStart; len(core) == int(cs[h+1]-cs[h]) {
+		hit = st.k.AnyWithinRange(p, cs[h], cs[h+1], st.eps2)
+	} else {
+		hit = st.k.AnyWithin(p, core, st.eps2)
 	}
-	if st.k.AnyWithin(p, core, st.eps2) {
+	if hit {
 		return insertLabel(found, lbl)
 	}
 	return found
 }
 
 // coreLabelOf returns the cluster label of core cell h (all cores of one cell
-// share a cluster), resolving the representative through origOf — labels are
-// keyed by original index while core lists live in the active store's space.
+// share a cluster), resolving the representative through Order — labels are
+// keyed by original index while core lists hold payload rows.
 func (st *pipeline) coreLabelOf(h int32, labels []int32) int32 {
-	return labels[st.origOf(st.corePts[h][0])]
+	return labels[st.cells.Order[st.corePts[h][0]]]
 }
 
 // boxBoxMaxDistSq returns the squared maximum distance between two

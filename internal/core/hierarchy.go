@@ -68,10 +68,15 @@ const edgeChunk = 1 << 16
 
 // ComputeHierarchy computes the squared core distances and the
 // mutual-reachability MSF over prepared cells. Params are interpreted as for
-// Run; only MinPts, Exec, Arena, ForceGenericKernel, Timings and PhaseHook
-// matter (the graph is built by direct cell scans, not a Graph strategy).
-// Cancellation mirrors Run: the build stops at the next phase or cell
-// boundary and returns the context's error with no partial output.
+// Run; only MinPts, Exec, Arena, Timings and PhaseHook matter (the graph is
+// built by direct cell scans, not a Graph strategy). Cancellation mirrors
+// Run: the build stops at the next phase or cell boundary and returns the
+// context's error with no partial output.
+//
+// The build scans payload rows like every other phase and keeps cd2 in row
+// space until the end; edges carry original endpoints (one Order lookup per
+// Prim vertex, not per pair), and Prim's ties break by original index, so
+// the output does not depend on the payload order.
 func ComputeHierarchy(cells *grid.Cells, p Params) (*HierarchyData, error) {
 	if err := validateParams(cells, &p); err != nil {
 		return nil, err
@@ -79,10 +84,6 @@ func ComputeHierarchy(cells *grid.Cells, p Params) (*HierarchyData, error) {
 	if p.Sample != nil {
 		return nil, fmt.Errorf("core: sampled-core mode does not apply to hierarchy builds")
 	}
-	// The build emits point-indexed output (cd2, MSF edges) from inside its
-	// scan loops; it runs on the original point order rather than paying a
-	// per-pair row translation.
-	p.ForceIndirectLayout = true
 	st := newPipeline(cells, p)
 	defer st.release()
 	if err := st.phase("coredist"); err != nil {
@@ -97,21 +98,24 @@ func ComputeHierarchy(cells *grid.Cells, p Params) (*HierarchyData, error) {
 		return nil, err
 	}
 	edges := st.mergeMSF(parts)
+	// Scatter the row-space core distances to original order.
+	out := make([]float64, cells.Pts.N) // escapes into HierarchyData; never pooled
+	st.ex.For(len(cd2), func(r int) { out[cells.Order[r]] = cd2[r] })
 	if err := st.phase("done"); err != nil {
 		return nil, err
 	}
-	return &HierarchyData{CoreDist2: cd2, Edges: edges}, nil
+	return &HierarchyData{CoreDist2: out, Edges: edges}, nil
 }
 
-// coreDistances computes cd2 for every point: the MinPts-th smallest squared
-// distance within the cell's eps-neighborhood (own cell plus grid neighbors),
-// +Inf when fewer than MinPts candidates are within eps. Unlike markCore
-// there is no all-core cell shortcut — the actual k-th distance is needed,
-// not just the threshold decision.
+// coreDistances computes cd2 for every payload row: the MinPts-th smallest
+// squared distance within the cell's eps-neighborhood (own cell plus grid
+// neighbors), +Inf when fewer than MinPts candidates are within eps. Unlike
+// markCore there is no all-core cell shortcut — the actual k-th distance is
+// needed, not just the threshold decision.
 func (st *pipeline) coreDistances() []float64 {
 	c := st.cells
 	numCells := c.NumCells()
-	cd2 := make([]float64, c.Pts.N) // escapes into HierarchyData; never pooled
+	cd2 := make([]float64, len(c.Order))
 	st.ex.BlockedFor(numCells, 1, func(lo, hi int) {
 		ws := st.getWS()
 		for g := lo; g < hi; g++ {
@@ -125,7 +129,7 @@ func (st *pipeline) coreDistances() []float64 {
 	return cd2
 }
 
-// cellCoreDistances fills cd2 for the points of cell g. Neighbor cells are
+// cellCoreDistances fills cd2 for the rows of cell g. Neighbor cells are
 // ordered by ascending box-box distance (as in markCellCore) so that once a
 // point's bounded max-heap is full, any cell whose box lies beyond the
 // current k-th distance — and every cell after it — can be skipped.
@@ -133,7 +137,7 @@ func (st *pipeline) cellCoreDistances(g int, ws *workerScratch, cd2 []float64) {
 	c := st.cells
 	minPts := st.p.MinPts
 	eps2 := st.eps2
-	pts := c.PointsOf(g)
+	pts := c.RowsOf(g)
 
 	ord := ws.nbrOrder[:0]
 	dist := ws.nbrDist[:0]
@@ -174,7 +178,7 @@ func (st *pipeline) cellCoreDistances(g int, ws *workerScratch, cd2 []float64) {
 			if st.k.PointBoxDistSqAt(p, c.BBLo, c.BBHi, nb) > bound {
 				continue
 			}
-			for _, q := range c.PointsOf(int(nb)) {
+			for _, q := range c.RowsOf(int(nb)) {
 				d2 := st.k.DistSq(p, q)
 				if d2 <= eps2 {
 					h = heapPushBounded(h, d2, minPts)
@@ -306,7 +310,7 @@ func (st *pipeline) mrEdgeParts(cd2 []float64) [][]MREdge {
 func (st *pipeline) cellMREdges(g int, cd2 []float64, ws *workerScratch, buf []MREdge) []MREdge {
 	c := st.cells
 	eps2 := st.eps2
-	pts := c.PointsOf(g)
+	pts := c.RowsOf(g)
 
 	// Own-cell clique over the core-capable points.
 	own := ws.primOwn[:0]
@@ -339,7 +343,7 @@ func (st *pipeline) cellMREdges(g int, cd2 []float64, ws *workerScratch, buf []M
 			ws.primVerts = verts
 			continue
 		}
-		for _, q := range c.PointsOf(int(nb)) {
+		for _, q := range c.RowsOf(int(nb)) {
 			if cd2[q] <= eps2 && st.k.PointBoxDistSqAt(q, c.BBLo, c.BBHi, int32(g)) <= eps2 {
 				verts = append(verts, q)
 			}
@@ -355,16 +359,18 @@ func (st *pipeline) cellMREdges(g int, cd2 []float64, ws *workerScratch, buf []M
 
 // primForest appends a minimum spanning forest of one cell-local subgraph to
 // buf via a dense Prim scan with forest restarts. verts lists the subgraph's
-// points; split selects the edge set: split == 0 means the complete graph on
-// verts (own-cell pairs, still subject to d2 <= eps2), split > 0 means the
-// bipartite graph between verts[:split] and verts[split:] (cross-cell pairs).
-// Pairs beyond eps are absent (weight +Inf). Each candidate pair's distance
-// is computed exactly once — when its first endpoint joins the tree.
+// payload rows; split selects the edge set: split == 0 means the complete
+// graph on verts (own-cell pairs, still subject to d2 <= eps2), split > 0
+// means the bipartite graph between verts[:split] and verts[split:]
+// (cross-cell pairs). Pairs beyond eps are absent (weight +Inf). Each
+// candidate pair's distance is computed exactly once — when its first
+// endpoint joins the tree.
 //
 // Determinism: the next vertex is the unattached one with the minimum
-// (key, id), and a key is only replaced by a strictly smaller weight, so the
-// emitted edge set depends solely on the subgraph, not on worker count or
-// scan history. Restarts (key +Inf) start a new tree without emitting.
+// (key, original index), and a key is only replaced by a strictly smaller
+// weight, so the emitted edge set depends solely on the subgraph, not on
+// worker count, scan history, or payload order. Restarts (key +Inf) start a
+// new tree without emitting.
 func (st *pipeline) primForest(verts []int32, split int, cd2 []float64, ws *workerScratch, buf []MREdge) []MREdge {
 	m := len(verts)
 	if m < 2 {
@@ -381,22 +387,29 @@ func (st *pipeline) primForest(verts []int32, split int, cd2 []float64, ws *work
 		from = make([]int32, m)
 	}
 	from = from[:m]
+	id := ws.primID
+	if cap(id) < m {
+		id = make([]int32, m)
+	}
+	id = id[:m]
 	side := ws.primSide
 	if cap(side) < m {
 		side = make([]bool, m)
 	}
 	side = side[:m]
+	order := st.cells.Order
 	for i := range key {
 		key[i] = math.Inf(1)
 		from[i] = -1
+		id[i] = order[verts[i]]
 		side[i] = i >= split
 	}
-	ws.primKey, ws.primFrom, ws.primSide = key, from, side
+	ws.primKey, ws.primFrom, ws.primID, ws.primSide = key, from, id, side
 
 	for step := 0; step < m; step++ {
 		best := step
 		for j := step + 1; j < m; j++ {
-			if key[j] < key[best] || (key[j] == key[best] && verts[j] < verts[best]) {
+			if key[j] < key[best] || (key[j] == key[best] && id[j] < id[best]) {
 				best = j
 			}
 		}
@@ -404,12 +417,13 @@ func (st *pipeline) primForest(verts []int32, split int, cd2 []float64, ws *work
 			verts[step], verts[best] = verts[best], verts[step]
 			key[step], key[best] = key[best], key[step]
 			from[step], from[best] = from[best], from[step]
+			id[step], id[best] = id[best], id[step]
 			side[step], side[best] = side[best], side[step]
 		}
 		v := verts[step]
 		cv := cd2[v]
 		if from[step] >= 0 {
-			buf = append(buf, makeMREdge(from[step], v, key[step], 0, 0))
+			buf = append(buf, makeMREdge(from[step], id[step], key[step], 0, 0))
 		}
 		// Relax the unattached vertices against v. In the bipartite case
 		// only the opposite side is adjacent.
@@ -430,7 +444,7 @@ func (st *pipeline) primForest(verts []int32, split int, cd2 []float64, ws *work
 			}
 			if w < key[j] {
 				key[j] = w
-				from[j] = v
+				from[j] = id[step]
 			}
 		}
 	}

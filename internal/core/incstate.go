@@ -3,25 +3,17 @@ package core
 import "fmt"
 
 // IncrementalState is the serializable image of an Incremental cache: the
-// per-point core flags, per-cell core point lists and bounding boxes, and the
-// cell-graph edge booleans, flattened to plain arrays. Quadtrees are
-// deliberately dropped — they are derived state that rebuilds lazily, and
-// only for cells a later tick actually touches — so a snapshot stays compact
-// and restore stays O(state). The codec lives with the caller; this package
-// defines only the shape and its validation.
+// per-point core flags and the cell-graph edge booleans, flattened to plain
+// arrays. Everything else a run needs (core lists, core boxes, quadtrees) is
+// derived from the flags and the cells, and the first run after a restore
+// re-derives it, so a snapshot stays compact and restore stays O(state). The
+// codec lives with the caller; this package defines only the shape and its
+// validation.
 type IncrementalState struct {
 	Valid  bool
 	MinPts int
 
 	CoreFlags []bool // per point slot
-
-	// Per-cell core lists: CoreIdx[CoreOff[g]:CoreOff[g+1]] are cell slot g's
-	// core point slots; CoreBBLo/Hi are their bounding boxes (rows of the
-	// cache's dimensionality, len = numCells*d).
-	CoreOff  []int32
-	CoreIdx  []int32
-	CoreBBLo []float64
-	CoreBBHi []float64
 
 	// Flattened edge cache: for cell g, entries EdgeOff[g]:EdgeOff[g+1] of
 	// EdgeH (ascending h < g) and EdgeConn.
@@ -38,16 +30,9 @@ func (inc *Incremental) ExportState() *IncrementalState {
 		Valid:     inc.valid,
 		MinPts:    inc.minPts,
 		CoreFlags: append([]bool(nil), inc.coreFlags...),
-		CoreOff:   make([]int32, len(inc.corePts)+1),
-		CoreBBLo:  append([]float64(nil), inc.coreBBLo...),
-		CoreBBHi:  append([]float64(nil), inc.coreBBHi...),
 		EdgeOff:   make([]int32, len(inc.edges)+1),
 		EdgeKind:  int(inc.edgeKind),
 		EdgeRho:   inc.edgeRho,
-	}
-	for g, pts := range inc.corePts {
-		st.CoreIdx = append(st.CoreIdx, pts...)
-		st.CoreOff[g+1] = int32(len(st.CoreIdx))
 	}
 	for g, es := range inc.edges {
 		for _, e := range es {
@@ -59,16 +44,15 @@ func (inc *Incremental) ExportState() *IncrementalState {
 	return st
 }
 
-// RestoreIncremental rebuilds an Incremental from an exported state. Tree
-// caches start empty (rebuilt lazily by the next run that wants them); every
+// RestoreIncremental rebuilds an Incremental from an exported state. Every
 // flattened extent is validated so a corrupt snapshot errors instead of
 // producing out-of-range slot references.
 func RestoreIncremental(st *IncrementalState) (*Incremental, error) {
-	numCells := len(st.CoreOff) - 1
-	if numCells < 0 || len(st.EdgeOff) != len(st.CoreOff) {
-		return nil, fmt.Errorf("core: restore: core/edge tables cover %d and %d cells", numCells, len(st.EdgeOff)-1)
+	numCells := len(st.EdgeOff) - 1
+	if numCells < 0 {
+		return nil, fmt.Errorf("core: restore: edge table has no offsets")
 	}
-	if st.CoreOff != nil && st.CoreOff[0] != 0 || st.EdgeOff != nil && st.EdgeOff[0] != 0 {
+	if st.EdgeOff[0] != 0 {
 		return nil, fmt.Errorf("core: restore: offsets do not start at 0")
 	}
 	if len(st.EdgeConn) != len(st.EdgeH) {
@@ -84,32 +68,10 @@ func RestoreIncremental(st *IncrementalState) (*Incremental, error) {
 	inc.valid = st.Valid
 	inc.minPts = st.MinPts
 	inc.coreFlags = append([]bool(nil), st.CoreFlags...)
-	inc.corePts = make([][]int32, numCells)
-	inc.coreBBLo = append([]float64(nil), st.CoreBBLo...)
-	inc.coreBBHi = append([]float64(nil), st.CoreBBHi...)
 	inc.edges = make([][]edgeEntry, numCells)
 	inc.edgeKind = GraphStrategy(st.EdgeKind)
 	inc.edgeRho = st.EdgeRho
-	if len(st.CoreBBLo) != len(st.CoreBBHi) ||
-		(numCells > 0 && (len(st.CoreBBLo)%numCells != 0)) {
-		return nil, fmt.Errorf("core: restore: bounding boxes are %d+%d floats for %d cells", len(st.CoreBBLo), len(st.CoreBBHi), numCells)
-	}
-	nFlags := int32(len(st.CoreFlags))
 	for g := 0; g < numCells; g++ {
-		lo, hi := st.CoreOff[g], st.CoreOff[g+1]
-		if lo > hi || int(hi) > len(st.CoreIdx) {
-			return nil, fmt.Errorf("core: restore: cell %d core extent [%d,%d) out of range", g, lo, hi)
-		}
-		if lo != hi {
-			pts := make([]int32, hi-lo)
-			copy(pts, st.CoreIdx[lo:hi])
-			for _, p := range pts {
-				if p < 0 || p >= nFlags || !st.CoreFlags[p] {
-					return nil, fmt.Errorf("core: restore: cell %d lists non-core point slot %d", g, p)
-				}
-			}
-			inc.corePts[g] = pts
-		}
 		elo, ehi := st.EdgeOff[g], st.EdgeOff[g+1]
 		if elo > ehi || int(ehi) > len(st.EdgeH) {
 			return nil, fmt.Errorf("core: restore: cell %d edge extent [%d,%d) out of range", g, elo, ehi)

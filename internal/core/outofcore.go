@@ -430,17 +430,12 @@ func (r *oocRun) delaunayTurn(t *oocTurn, owned []int32) {
 	if total == 0 || st.cancelled() {
 		return
 	}
+	// The triangulation runs over the window's original store (CellOf is
+	// keyed by window-local index), so gather the core rows' indices there.
 	all := make([]int32, 0, total)
 	for _, lg := range owned {
-		all = append(all, st.corePts[lg]...)
-	}
-	if st.contig {
-		// The triangulation runs over the window's original store (CellOf is
-		// keyed by window-local index); map payload rows back through Order.
-		// With BuildCellMajor's identity Order this is a no-op, but the
-		// translation keeps the layouts interchangeable.
-		for i, p := range all {
-			all[i] = st.cells.Order[p]
+		for _, r := range st.corePts[lg] {
+			all = append(all, st.cells.Order[r])
 		}
 	}
 	edges := delaunay.Triangulate(st.ex, st.cells.Pts, all)
@@ -500,7 +495,7 @@ func (r *oocRun) borderTurn(s int) error {
 				continue // all points are core (Sample is rejected up front)
 			}
 			built := false
-			pts := st.cellPts(g)
+			pts := cells.RowsOf(g)
 			orig := cells.PointsOf(g) // window-local store order; == pts here
 			for i, p := range pts {
 				op := orig[i]

@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -83,29 +84,6 @@ type Params struct {
 	// their per-instance arena here so repeated runs are near-allocation-free.
 	Arena *Arena
 
-	// ForceGenericKernel resolves the pipeline's own distance kernel to the
-	// generic-D loop instead of the dimension-specialized forms. Results are
-	// bit-identical either way (the kernels are exact re-expressions); the
-	// flag exists so cmd/dbscanbench -exp hot can measure specialization
-	// against its own fallback. Scope: it covers the pipeline's loops
-	// (MarkCore counting, BCP, border attachment, cell-graph filters) — the
-	// quadtree and k-d tree resolve their own kernels at build time and stay
-	// specialized, so tree-heavy configurations (exact-qt, approx) measure
-	// mostly the arena, not the kernel, under this flag.
-	ForceGenericKernel bool
-
-	// ForceIndirectLayout runs the pipeline in the original point order,
-	// indirecting through cells.Order, even when the cells carry a cell-major
-	// payload (grid.Cells.Payload). The contiguous path evaluates the same
-	// pairs with the same arithmetic in the same accumulation order, so
-	// results are bit-identical either way; the flag is the differential
-	// escape hatch for the layout-equivalence tests and for
-	// cmd/dbscanbench -exp hot's layout comparison, mirroring
-	// ForceGenericKernel. The incremental path sets it internally — its
-	// caches hold original-index core lists and trees across ticks, which a
-	// payload-row run would poison.
-	ForceIndirectLayout bool
-
 	// Timings, when non-nil, receives the wall-clock duration of each
 	// pipeline phase of the run (the observability seam RunStats is built
 	// on). Written once, at phase completion, by the run's own goroutine.
@@ -161,17 +139,14 @@ type pipeline struct {
 	eps   float64
 	eps2  float64
 	ex    *parallel.Pool // == p.Exec; the executor for every parallel phase
-	k     geom.Kernel    // dimension-resolved distance kernel over the active store
+	k     geom.Kernel    // dimension-resolved distance kernel over pts
 
-	// The active point store. When the cells carry a cell-major payload (and
-	// ForceIndirectLayout is off) the pipeline runs in payload-row space:
-	// pts is cells.PayloadPts(), every point index flowing through the
-	// phases (cell point lists, core lists, border candidates, tree indices)
-	// is a payload row, and per-point state keyed by original index
-	// (coreFlags, labels, Sample) is reached through origOf. Otherwise pts is
-	// cells.Pts and indices are original point indices (origOf is identity).
-	contig bool
-	pts    geom.Points
+	// The point store every phase indexes: the cells' cell-major payload.
+	// Every point index flowing through the phases (cell point lists, core
+	// lists, border candidates, tree indices) is a payload row; per-point
+	// state keyed by original index (coreFlags, labels, Sample) is reached
+	// through cells.Order.
+	pts geom.Points
 
 	arena *Arena      // == p.Arena (nil: no pooling)
 	rs    *runScratch // this run's checked-out scratch; returned by release
@@ -183,8 +158,8 @@ type pipeline struct {
 	phaseDur *time.Duration
 
 	coreFlags []bool
-	corePts   [][]int32 // per cell: indices of its core points
-	coreStore []int32   // flat backing of small-cell core lists (batch paths; nil incremental)
+	corePts   [][]int32 // per cell: payload rows of its core points
+	coreStore []int32   // flat backing of small-cell core lists
 	coreBBLo  []float64 // per cell: bounding box of its core points
 	coreBBHi  []float64
 	coreCells []int32 // cells with at least one core point
@@ -195,11 +170,6 @@ type pipeline struct {
 	// points (ClusterCore); built on first use, guarded by sync.Once.
 	allTrees  []lazyTree
 	coreTrees []lazyTree
-
-	// Pre-seeded trees from an Incremental cache (nil entries build lazily).
-	// Written before the run starts and read-only during it.
-	preAllTrees  []*quadtree.Tree
-	preCoreTrees []*quadtree.Tree
 
 	// Lazy per-cell USEC state (2D): core points sorted by x and by y, and
 	// the four directional envelopes.
@@ -235,43 +205,16 @@ func validateParams(cells *grid.Cells, p *Params) error {
 	return nil
 }
 
-// newPipeline builds the per-run state: the dimension-resolved kernel and a
-// runScratch checked out of p.Arena (fresh when nil). Callers must pair it
-// with release.
+// newPipeline builds the per-run state: the dimension-resolved kernel over
+// the cells' payload and a runScratch checked out of p.Arena (fresh when
+// nil). Callers must pair it with release.
 func newPipeline(cells *grid.Cells, p Params) *pipeline {
-	contig := cells.Payload != nil && !p.ForceIndirectLayout
-	pts := cells.Pts
-	if contig {
-		pts = cells.PayloadPts()
-	}
-	k := geom.NewKernel(pts)
-	if p.ForceGenericKernel {
-		k = geom.NewGenericKernel(pts)
-	}
+	pts := cells.PayloadPts()
 	return &pipeline{
 		cells: cells, p: p, eps: cells.Eps, eps2: cells.Eps * cells.Eps,
-		ex: p.Exec, k: k, arena: p.Arena, rs: p.Arena.getRun(),
-		contig: contig, pts: pts,
+		ex: p.Exec, k: geom.NewKernel(pts), arena: p.Arena, rs: p.Arena.getRun(),
+		pts: pts,
 	}
-}
-
-// origOf maps an active-store point index to the original point index
-// (identity on the indirect path, cells.Order on the contiguous one).
-func (st *pipeline) origOf(p int32) int32 {
-	if st.contig {
-		return st.cells.Order[p]
-	}
-	return p
-}
-
-// cellPts returns cell g's point list in the active store's index space:
-// payload rows when contiguous, original indices otherwise. Both are views
-// into the cells; do not mutate.
-func (st *pipeline) cellPts(g int) []int32 {
-	if st.contig {
-		return st.cells.RowsOf(g)
-	}
-	return st.cells.PointsOf(g)
 }
 
 // release returns the run's scratch to the arena. The scratch keeps aliases
@@ -384,15 +327,14 @@ func Run(cells *grid.Cells, p Params) (*Result, error) {
 }
 
 // initCoreState readies the per-cell core buffers (lists, flat backing,
-// bounding boxes) from the run scratch — shared by the monolithic and
-// sharded batch paths. Every cell's entries are overwritten by
-// collectCellCore before any read, so no clearing is needed.
+// bounding boxes) from the run scratch. Every cell's entries are overwritten
+// by collectCellCore before any read, so no clearing is needed.
 func (st *pipeline) initCoreState() {
 	c := st.cells
 	d := c.Pts.D
 	numCells := c.NumCells()
 	st.rs.corePts = slicesBuf(st.rs.corePts, numCells)
-	st.rs.coreStore = int32Buf(st.rs.coreStore, c.Pts.N)
+	st.rs.coreStore = int32Buf(st.rs.coreStore, len(c.Order))
 	st.rs.coreBBLo = floatBuf(st.rs.coreBBLo, numCells*d)
 	st.rs.coreBBHi = floatBuf(st.rs.coreBBHi, numCells*d)
 	st.corePts = st.rs.corePts
@@ -413,46 +355,26 @@ func (st *pipeline) collectCore() {
 }
 
 // collectCellCore derives cell g's core point list and core bounding box from
-// the core flags (the per-cell body shared by collectCore, the sharded path,
-// and the incremental path — one implementation, so the paths can never
-// desynchronize). All-core cells alias the cell's point list. Small cells
-// write into their disjoint region of the flat coreStore when the batch
-// scratch provides one; the incremental path (coreStore nil) counts the set
-// flags first and allocates exactly — its lists are cached across ticks and
-// must own their memory.
+// the core flags (the per-cell body shared by every path, so the paths can
+// never desynchronize). All-core cells alias the cell's row list; small
+// cells write into their disjoint region of the flat coreStore.
 func (st *pipeline) collectCellCore(g int) {
 	c := st.cells
 	d := c.Pts.D
-	pts := st.cellPts(g)
-	orig := c.PointsOf(g) // == pts on the indirect path
+	rows := c.RowsOf(g)
 	var core []int32
-	if st.p.Sample == nil && c.CellSize(g) >= st.p.MinPts {
+	if st.p.Sample == nil && len(rows) >= st.p.MinPts {
 		// Every point is core; alias the cell's slice. (Under a sample mask
 		// only the sampled points of a big cell are core, so the alias is
-		// wrong there and the flag-scan paths below run instead.)
-		core = pts
-	} else if st.coreStore != nil {
-		off := c.CellStart[g]
-		buf := st.coreStore[off : off : off+int32(len(pts))]
-		for i, p := range pts {
-			if st.coreFlags[orig[i]] {
-				buf = append(buf, p)
-			}
-		}
-		core = buf
+		// wrong there and the flag scan below runs instead.)
+		core = rows
 	} else {
-		cnt := 0
-		for _, p := range orig {
-			if st.coreFlags[p] {
-				cnt++
-			}
-		}
-		if cnt > 0 {
-			core = make([]int32, 0, cnt)
-			for i, p := range pts {
-				if st.coreFlags[orig[i]] {
-					core = append(core, p)
-				}
+		orig := c.PointsOf(g)
+		off := c.CellStart[g]
+		core = st.coreStore[off : off : off+int32(len(rows))]
+		for i, r := range rows {
+			if st.coreFlags[orig[i]] {
+				core = append(core, r)
 			}
 		}
 	}
@@ -526,16 +448,9 @@ func (st *pipeline) quadtreeRoot(g int) (lo []float64, side float64) {
 // allTree returns (building on first use) the quadtree over all points of
 // cell g, used by MarkQuadtree.
 func (st *pipeline) allTree(g int32) *quadtree.Tree {
-	if st.preAllTrees != nil {
-		if t := st.preAllTrees[g]; t != nil {
-			return t
-		}
-	}
 	lt := &st.allTrees[g]
 	lt.once.Do(func() {
-		pts := st.cellPts(int(g))
-		idx := make([]int32, len(pts))
-		copy(idx, pts)
+		idx := slices.Clone(st.cells.RowsOf(int(g)))
 		lo, side := st.quadtreeRoot(int(g))
 		lt.tree = quadtree.Build(st.ex, st.pts, idx, lo, side, -1)
 	})
@@ -546,16 +461,9 @@ func (st *pipeline) allTree(g int32) *quadtree.Tree {
 // of cell g. maxDepth depends on the graph strategy: exact for GraphQuadtree,
 // capped for GraphApprox.
 func (st *pipeline) coreTree(g int32) *quadtree.Tree {
-	if st.preCoreTrees != nil {
-		if t := st.preCoreTrees[g]; t != nil {
-			return t
-		}
-	}
 	lt := &st.coreTrees[g]
 	lt.once.Do(func() {
-		src := st.corePts[g]
-		idx := make([]int32, len(src))
-		copy(idx, src)
+		idx := slices.Clone(st.corePts[g])
 		lo, side := st.quadtreeRoot(int(g))
 		maxDepth := -1
 		if st.p.Graph == GraphApprox {
@@ -566,7 +474,7 @@ func (st *pipeline) coreTree(g int32) *quadtree.Tree {
 	return lt.tree
 }
 
-// at returns the coordinate row of active-store point p.
+// at returns the coordinate row of payload row p.
 func (st *pipeline) at(p int32) []float64 { return st.pts.At(int(p)) }
 
 // distSq between two points by index, through the run's kernel.

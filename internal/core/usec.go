@@ -41,7 +41,7 @@ func (st *pipeline) sorted(g int32) *usecCell {
 		copy(uc.byX, core)
 		uc.byY = make([]int32, len(core))
 		copy(uc.byY, core)
-		data := st.pts.Data // active store: core lists are in its index space
+		data := st.pts.Data // the payload: core lists hold its rows
 		sort.Slice(uc.byX, func(i, j int) bool {
 			return data[2*uc.byX[i]] < data[2*uc.byX[j]]
 		})
@@ -52,7 +52,7 @@ func (st *pipeline) sorted(g int32) *usecCell {
 	return uc
 }
 
-// transform maps active-store point p into the canonical frame of dir.
+// transform maps payload row p into the canonical frame of dir.
 func (st *pipeline) transform(p int32, dir int) (u, v float64) {
 	x := st.pts.Data[2*p]
 	y := st.pts.Data[2*p+1]

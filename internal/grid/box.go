@@ -119,7 +119,7 @@ func BuildBox2D(ex *parallel.Pool, pts geom.Points, eps float64) *Cells {
 			}
 		}
 	})
-	c.EnsurePayload(ex)
+	c.buildPayload(ex, nil)
 	return c
 }
 

@@ -203,6 +203,9 @@ func (dy *Dynamic) Remove(p int32) {
 // empty cells (zero points, no neighbors) that every downstream phase skips
 // naturally.
 //
+// Every snapshot with mutations behind it gathers the cell-major payload
+// again (an O(n·d) copy; the row space changes whenever any cell's size
+// does), into the previous snapshot's buffers when they are large enough.
 // The returned Cells aliases the Dynamic's point storage; it is valid until
 // the next mutation. Calling Snapshot with no mutations since the last one
 // returns the same Cells and an empty DirtyInfo.
@@ -394,6 +397,7 @@ func (dy *Dynamic) Snapshot(ex *parallel.Pool) (*Cells, *DirtyInfo, error) {
 		}
 		c.Neighbors[g] = neighborsOf(dy.cellAbs[g], int32(g))
 	})
+	c.buildPayload(ex, dy.snap)
 
 	for g, a := range affected {
 		if a != 0 {

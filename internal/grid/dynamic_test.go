@@ -7,16 +7,52 @@ import (
 	"pdbscan/internal/geom"
 )
 
+// payloadMatchesOrder checks a snapshot's cell-major payload: one row per
+// live point, payload row r equal to Pts row Order[r], and Rows the
+// identity.
+func payloadMatchesOrder(t *testing.T, c *Cells) {
+	t.Helper()
+	d := c.Pts.D
+	if len(c.Payload) != len(c.Order)*d {
+		t.Fatalf("payload holds %d floats for %d points of dimension %d", len(c.Payload), len(c.Order), d)
+	}
+	if len(c.Rows) != len(c.Order) {
+		t.Fatalf("%d payload rows listed for %d points", len(c.Rows), len(c.Order))
+	}
+	pay := c.PayloadPts()
+	for r, p := range c.Order {
+		if c.Rows[r] != int32(r) {
+			t.Fatalf("Rows[%d] = %d", r, c.Rows[r])
+		}
+		want, got := c.Pts.At(int(p)), pay.At(r)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("payload row %d = %v, Pts row %d = %v", r, got, p, want)
+			}
+		}
+	}
+}
+
 // snapshotMatchesBuildGrid checks that a Dynamic snapshot partitions its live
 // points into exactly the cells BuildGrid produces for the same point set:
 // same groups of points, same absolute lattice coordinates, same bounding
-// boxes, and equivalent neighbor relations.
+// boxes, and equivalent neighbor relations. It also checks the snapshot's
+// payload, and that of the unchanged snapshot a second call returns.
 func snapshotMatchesBuildGrid(t *testing.T, dy *Dynamic, live []int32) {
 	t.Helper()
 	snap, _, err := dy.Snapshot(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	payloadMatchesOrder(t, snap)
+	again, _, err := dy.Snapshot(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != snap {
+		t.Fatal("unmutated snapshot not reused")
+	}
+	payloadMatchesOrder(t, again)
 	if len(live) == 0 {
 		return
 	}
@@ -139,6 +175,14 @@ func TestDynamicMatchesBuildGridUnderMutations(t *testing.T) {
 			}
 			snapshotMatchesBuildGrid(t, dy, live)
 		}
+		// The first snapshot after a restore rebuilds the grid-side state
+		// with no previous snapshot to copy from.
+		live = append(live, dy.Insert(randRow()))
+		restored, err := RestoreDynamic(dy.ExportState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapshotMatchesBuildGrid(t, restored, live)
 	}
 }
 

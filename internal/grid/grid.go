@@ -63,16 +63,14 @@ type Cells struct {
 	// Payload is the cell-major copy of the point coordinates: payload row r
 	// holds Pts row Order[r], so cell g owns the contiguous payload row range
 	// [CellStart[g], CellStart[g+1]) — the same layout internal/cellstore
-	// writes to disk. The batch constructions (BuildGrid, BuildBox2D) fill it
-	// eagerly; Dynamic.Snapshot leaves it nil and callers that want the
-	// contiguous kernels call EnsurePayload. Nil means "not materialized":
-	// the clustering pipeline falls back to indirecting through Order.
+	// writes to disk. Every constructor fills it; the clustering pipeline
+	// indexes points by payload row and reaches per-point state (keyed by
+	// original index) through Order.
 	Payload []float64
 
 	// Rows is the identity permutation over payload rows ([0, len(Order)));
 	// Rows[CellStart[g]:CellStart[g+1]] is cell g's point list in payload-row
-	// space, ready to alias wherever the indirect path would use
-	// Order[CellStart[g]:CellStart[g+1]]. Built alongside Payload.
+	// space, ready to alias as a per-cell row list. Built alongside Payload.
 	Rows []int32
 }
 
@@ -90,34 +88,47 @@ func (c *Cells) PointsOf(g int) []int32 {
 }
 
 // RowsOf returns cell g's point list in payload-row space (a view; do not
-// mutate). Only valid after EnsurePayload.
+// mutate).
 func (c *Cells) RowsOf(g int) []int32 {
 	return c.Rows[c.CellStart[g]:c.CellStart[g+1]]
 }
 
 // PayloadPts views the cell-major payload as a point store: point r of the
-// view is Pts row Order[r]. Only valid after EnsurePayload.
+// view is Pts row Order[r].
 func (c *Cells) PayloadPts() geom.Points {
 	return geom.Points{N: len(c.Order), D: c.Pts.D, Data: c.Payload}
 }
 
-// EnsurePayload materializes the cell-major payload (and the Rows identity)
-// if it is not already present. Idempotent; not safe to call concurrently
-// with itself on the same Cells — the construction paths and the streaming
-// run loop call it from a single goroutine before handing the structure to
-// parallel phases.
-func (c *Cells) EnsurePayload(ex *parallel.Pool) {
-	if c.Payload != nil {
-		return
-	}
+// buildPayload gathers the cell-major payload (and the Rows identity) from
+// Pts through Order. Every constructor calls it once, before the Cells are
+// handed to any parallel phase. A non-nil prev lends its buffers: Dynamic
+// passes its previous snapshot, which the mutations behind this one have
+// already invalidated (and whose Rows, an identity, stays one as a prefix).
+func (c *Cells) buildPayload(ex *parallel.Pool, prev *Cells) {
 	n, d := len(c.Order), c.Pts.D
-	payload := make([]float64, n*d)
-	rows := make([]int32, n)
-	ex.For(n, func(r int) {
-		copy(payload[r*d:(r+1)*d], c.Pts.At(int(c.Order[r])))
-		rows[r] = int32(r)
+	var payload []float64
+	var rows []int32
+	if prev != nil {
+		payload, rows = prev.Payload, prev.Rows
+	}
+	if cap(payload) < n*d {
+		payload = make([]float64, n*d)
+	}
+	payload = payload[:n*d]
+	if len(rows) < n {
+		rows = make([]int32, n)
+		ex.For(n, func(r int) { rows[r] = int32(r) })
+	}
+	data := c.Pts.Data
+	ex.BlockedFor(n, 0, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			src := int(c.Order[r]) * d
+			for j := 0; j < d; j++ {
+				payload[r*d+j] = data[src+j]
+			}
+		}
 	})
-	c.Rows = rows
+	c.Rows = rows[:n]
 	c.Payload = payload
 }
 
@@ -290,7 +301,7 @@ func BuildGrid(ex *parallel.Pool, pts geom.Points, eps float64) *Cells {
 		}
 		c.table.insert(int32(g))
 	})
-	c.EnsurePayload(ex)
+	c.buildPayload(ex, nil)
 	return c
 }
 

@@ -14,15 +14,15 @@ import (
 // checksummed field).
 const snapMagic = "PDBSNAP1"
 
-const snapVersion = 1
+const snapVersion = 2
 
 // Snapshot serializes the StreamingClusterer's full warm state to w: the
 // point set with its id assignment, the dynamic grid (including the pending
 // dirty set — Snapshot never consumes it, so taking a snapshot does not
-// perturb the next Run), and the incremental caches (core flags, per-cell
-// core lists, cell-graph edge booleans; quadtrees are derived state and are
-// rebuilt lazily after restore). The stream is checksummed; RestoreStreaming
-// rejects any corruption.
+// perturb the next Run), and the incremental caches (core flags and
+// cell-graph edge booleans; core lists and quadtrees are derived state that
+// the next Run rebuilds). The stream is checksummed; RestoreStreaming rejects
+// any corruption.
 //
 // A restored clusterer's next Run recomputes only what the pending mutations
 // dirtied — same as if the process had never exited — plus cheap grid-side
@@ -56,10 +56,6 @@ func (s *StreamingClusterer) Snapshot(w io.Writer) error {
 	enc.Bool(is.Valid)
 	enc.I64(int64(is.MinPts))
 	enc.Bools(is.CoreFlags)
-	enc.I32s(is.CoreOff)
-	enc.I32s(is.CoreIdx)
-	enc.F64s(is.CoreBBLo)
-	enc.F64s(is.CoreBBHi)
 	enc.I32s(is.EdgeOff)
 	enc.I32s(is.EdgeH)
 	enc.Bools(is.EdgeConn)
@@ -111,10 +107,6 @@ func RestoreStreaming(r io.Reader) (*StreamingClusterer, error) {
 	is.Valid = dec.Bool()
 	is.MinPts = int(dec.I64())
 	is.CoreFlags = dec.Bools()
-	is.CoreOff = dec.I32s()
-	is.CoreIdx = dec.I32s()
-	is.CoreBBLo = dec.F64s()
-	is.CoreBBHi = dec.F64s()
 	is.EdgeOff = dec.I32s()
 	is.EdgeH = dec.I32s()
 	is.EdgeConn = dec.Bools()

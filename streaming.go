@@ -359,12 +359,6 @@ func (s *StreamingClusterer) RunContext(ctx context.Context, cfg Config) (res *S
 		// from clean state. (Shards = 0 deliberately stays incremental; see
 		// Config.Shards.)
 		s.inc = core.NewIncremental()
-		// The batch pipelines run cell-major; materialize the snapshot's
-		// payload (the incremental path below never needs it — its caches are
-		// original-index and it forces the indirect layout). Like the
-		// snapshot, the copy is cached inside the snapshot and must complete
-		// once started, so it runs on a context-free pool.
-		cells.EnsurePayload(parallel.NewPool(cfg.Workers))
 		part, perr := grid.MakePartition(ex, cells, cfg.Shards)
 		if perr != nil {
 			return nil, perr
