@@ -435,6 +435,9 @@ func (c *Clusterer) RunContext(ctx context.Context, cfg Config) (res *Result, er
 	if err != nil {
 		return nil, err
 	}
+	var cres *core.Result
+	var ooc core.OOCStats // residency accounting; zero for in-RAM runs
+	shards := 1
 	if cfg.Spill {
 		// Out-of-core: sweep the store's shards one halo window at a time.
 		// Validate already rejected Sampler and explicit Shards; the shard
@@ -442,98 +445,36 @@ func (c *Clusterer) RunContext(ctx context.Context, cfg Config) (res *Result, er
 		if c.store == nil {
 			return nil, fmt.Errorf("pdbscan: Spill requires a store-backed Clusterer (OpenStoreClusterer)")
 		}
-		cres, ooc, err := core.RunOutOfCore(c.store, params, cfg.MaxResidentBytes)
+		var st *core.OOCStats
+		cres, st, err = core.RunOutOfCore(c.store, params, cfg.MaxResidentBytes)
 		if err != nil {
 			return nil, err
 		}
-		total := time.Since(start)
-		phases := tm.Mark + tm.Collect + tm.Graph + tm.Merge + tm.Label + tm.Border
-		c.statsMu.Lock()
-		c.lastStats = RunStats{
-			MarkCore:           tm.Mark,
-			ClusterCore:        tm.Collect + tm.Graph + tm.Merge,
-			Border:             tm.Label + tm.Border,
-			Build:              total - phases,
-			Total:              total,
-			Shards:             c.store.NumShards(),
-			Workers:            ex.Workers(),
-			BytesMapped:        ooc.BytesMapped,
-			PeakResidentBytes:  ooc.PeakResidentBytes,
-			ShardsResidentPeak: ooc.ShardsResidentPeak,
-		}
-		c.statsMu.Unlock()
-		return &Result{
-			Labels:      cres.Labels,
-			Core:        cres.Core,
-			Border:      cres.Border,
-			NumClusters: cres.NumClusters,
-		}, nil
-	}
-	if c.store != nil {
-		if err := c.ensureMapped(); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.Sampler != SamplerNone {
-		mask, err := c.sampleFor(&cfg, ex)
-		if err != nil {
-			return nil, err
-		}
-		params.Sample = mask
-	}
-	var cres *core.Result
-	shards := resolveShards(&cfg, c.pts.N)
-	if shards > 1 {
-		// The sharded path cuts the anchored lattice, so it always runs on
-		// the grid layout — 2d-box-* methods keep their connectivity
-		// strategy but are served by grid cells (identical clustering; see
-		// Config.Shards).
-		cells, err := c.cellsFor(false, ex)
-		if err != nil {
-			return nil, err
-		}
-		part, err := c.partitionFor(cells, shards, ex)
-		if err != nil {
-			return nil, err
-		}
-		if part.NumShards <= 1 {
-			// The occupied lattice offered nothing to cut (a single slab on
-			// every axis); the monolithic phases parallelize better than a
-			// one-shard run would.
-			shards = 1
-			cres, err = core.Run(cells, params)
-		} else {
-			shards = part.NumShards
-			cres, err = core.RunSharded(cells, params, part)
-		}
-		if err != nil {
-			return nil, err
-		}
+		ooc, shards = *st, c.store.NumShards()
 	} else {
-		cells, err := c.cellsFor(useBox, ex)
-		if err != nil {
+		if cres, shards, err = c.runInRAM(ex, &cfg, params, useBox); err != nil {
 			return nil, err
 		}
-		cres, err = core.Run(cells, params)
-		if err != nil {
-			return nil, err
+		if c.store != nil {
+			// Store-backed payloads are laid out in store order; hand
+			// results back in the writing Clusterer's point order.
+			core.ScatterResult(ex, cres, c.store.OrigIdx())
 		}
-	}
-	if c.store != nil {
-		// Store-backed payloads are laid out in store order; hand results
-		// back in the writing Clusterer's point order.
-		c.scatterStore(ex, cres)
 	}
 	total := time.Since(start)
+	phases := tm.Mark + tm.Collect + tm.Graph + tm.Merge + tm.Label + tm.Border
 	c.statsMu.Lock()
 	c.lastStats = RunStats{
-		MarkCore:    tm.Mark,
-		ClusterCore: tm.Collect + tm.Graph + tm.Merge,
-		Border:      tm.Label + tm.Border,
-		Build:       total - (tm.Mark + tm.Collect + tm.Graph + tm.Merge + tm.Label + tm.Border),
-		Total:       total,
-		Shards:      shards,
-		Workers:     ex.Workers(),
+		MarkCore:           tm.Mark,
+		ClusterCore:        tm.Collect + tm.Graph + tm.Merge,
+		Border:             tm.Label + tm.Border,
+		Build:              total - phases,
+		Total:              total,
+		Shards:             shards,
+		Workers:            ex.Workers(),
+		BytesMapped:        ooc.BytesMapped,
+		PeakResidentBytes:  ooc.PeakResidentBytes,
+		ShardsResidentPeak: ooc.ShardsResidentPeak,
 	}
 	c.statsMu.Unlock()
 	return &Result{
@@ -542,6 +483,52 @@ func (c *Clusterer) RunContext(ctx context.Context, cfg Config) (res *Result, er
 		Border:      cres.Border,
 		NumClusters: cres.NumClusters,
 	}, nil
+}
+
+// runInRAM runs the in-RAM paths (monolithic or sharded) over this
+// Clusterer's cell structure and reports the effective shard count.
+func (c *Clusterer) runInRAM(ex *parallel.Pool, cfg *Config, params core.Params, useBox bool) (*core.Result, int, error) {
+	if c.store != nil {
+		if err := c.ensureMapped(); err != nil {
+			return nil, 0, err
+		}
+	}
+	if cfg.Sampler != SamplerNone {
+		mask, err := c.sampleFor(cfg, ex)
+		if err != nil {
+			return nil, 0, err
+		}
+		params.Sample = mask
+	}
+	shards := resolveShards(cfg, c.pts.N)
+	if shards <= 1 {
+		cells, err := c.cellsFor(useBox, ex)
+		if err != nil {
+			return nil, 0, err
+		}
+		cres, err := core.Run(cells, params)
+		return cres, 1, err
+	}
+	// The sharded path cuts the anchored lattice, so it always runs on the
+	// grid layout — 2d-box-* methods keep their connectivity strategy but
+	// are served by grid cells (identical clustering; see Config.Shards).
+	cells, err := c.cellsFor(false, ex)
+	if err != nil {
+		return nil, 0, err
+	}
+	part, err := c.partitionFor(cells, shards, ex)
+	if err != nil {
+		return nil, 0, err
+	}
+	if part.NumShards <= 1 {
+		// The occupied lattice offered nothing to cut (a single slab on
+		// every axis); the monolithic phases parallelize better than a
+		// one-shard run would.
+		cres, err := core.Run(cells, params)
+		return cres, 1, err
+	}
+	cres, err := core.RunSharded(cells, params, part)
+	return cres, part.NumShards, err
 }
 
 // LastRunStats returns the RunStats of the most recent completed (successful)

@@ -427,8 +427,9 @@ func ClusterFlatContext(ctx context.Context, data []float64, dims int, cfg Confi
 // structure is cached).
 type RunStats struct {
 	// Build is the time this run spent outside the pipeline phases: cell
-	// structure construction (first run per layout only), partition cuts,
-	// validation, and result assembly.
+	// structure construction (first run per layout only; on Spill runs, the
+	// per-window cells of every mapped window), partition cuts, validation,
+	// and result assembly.
 	Build time.Duration
 	// MarkCore is Algorithm 2 (core-point marking).
 	MarkCore time.Duration

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"pdbscan/internal/dataset"
@@ -155,13 +156,15 @@ func FuzzStreamingOps(f *testing.F) {
 }
 
 // FuzzShardedCluster feeds arbitrary bytes as 2D points plus a shard count
-// and differentially checks the sharded path against the monolithic one on
-// the identical input: label-permutation-equal results for a rotating method
-// (exact and approx), and oracle conformance for the exact ones. The fuzz
+// and differentially checks both sharded paths against the monolithic one on
+// the identical input: the in-RAM sharded run must be label-permutation-equal
+// for a rotating method (exact and approx), the out-of-core Spill run over a
+// store written with that shard count bit-identical (every method here uses
+// the grid layout), and the exact ones must pass the oracle. The fuzz
 // surface is the partition geometry — cut placement, halo width, boundary
-// dedup — under adversarial point layouts; the seeded corpus includes a
-// boundary-straddling chain at exact-eps spacing, the layout most likely to
-// shatter at a cut.
+// dedup, window stitching — under adversarial point layouts; the seeded
+// corpus includes a boundary-straddling chain at exact-eps spacing, the
+// layout most likely to shatter at a cut.
 func FuzzShardedCluster(f *testing.F) {
 	// A cluster chain along x at exact-eps spacing (eps = 0.1+16/8 = 2.1 at
 	// epsQ=16 ... the chain spacing 1.0 keeps pairs connected for most eps),
@@ -211,6 +214,29 @@ func FuzzShardedCluster(f *testing.F) {
 		}
 		if err := equivalentResults(sh, mono); err != nil {
 			t.Fatalf("%s eps=%v minPts=%d shards=%d n=%d: sharded vs monolithic: %v",
+				m, eps, minPts, shards, n, err)
+		}
+		c, err := NewClusterer(rows, eps)
+		if err != nil {
+			t.Fatalf("NewClusterer rejected valid input: %v", err)
+		}
+		path := filepath.Join(t.TempDir(), "pts.cells")
+		if err := c.WriteStore(path, shards); err != nil {
+			t.Fatalf("WriteStore: %v", err)
+		}
+		sc, err := OpenStoreClusterer(path)
+		if err != nil {
+			t.Fatalf("OpenStoreClusterer: %v", err)
+		}
+		defer sc.Close()
+		spillCfg := cfg
+		spillCfg.Spill = true
+		sp, err := sc.Run(spillCfg)
+		if err != nil {
+			t.Fatalf("Spill run rejected valid input: %v", err)
+		}
+		if err := labelsEqual(sp, mono); err != nil {
+			t.Fatalf("%s eps=%v minPts=%d shards=%d n=%d: Spill vs monolithic: %v",
 				m, eps, minPts, shards, n, err)
 		}
 		if m != MethodApprox {

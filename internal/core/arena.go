@@ -63,7 +63,7 @@ type workerScratch struct {
 	cand      []int32   // clusterBorder: cells needing per-point scans
 	nbrOrder  []int32   // markCellCore: neighbor cells, ascending box distance
 	nbrDist   []float64 // markCellCore: the distances of nbrOrder
-	cellOrder []int32   // clusterShard: per-shard size-sorted owned core cells
+	cellOrder []int32   // runShards: per-shard size-sorted owned core cells
 	sorter    nbrSorter // markCellCore: allocation-free sort.Sort adapter
 
 	kthHeap   []float64    // cellCoreDistances: bounded max-heap of the k smallest d2

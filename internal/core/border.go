@@ -27,67 +27,78 @@ import "sync"
 // In the interior of a cluster every neighbor carries the same label as the
 // cell itself, so the whole cell resolves to one sure label and zero
 // distance work; only cells near cluster boundaries scan, and only against
-// the few candidates that survive the cell-level pass. The per-point label
-// set lives in the worker's pooled scratch; only the rare membership lists
-// of multi-cluster border points are freshly allocated (they escape into
-// the Result) and are merged into the map per block under a mutex.
-func (st *pipeline) clusterBorder(labels []int32, numClusters int) map[int32][]int32 {
-	c := st.cells
-	numCells := c.NumCells()
-
-	border := make(map[int32][]int32)
-	var mu sync.Mutex
-	st.ex.BlockedFor(numCells, 1, func(lo, hi int) {
+// the few candidates that survive the cell-level pass.
+func (st *pipeline) clusterBorder(labels []int32) map[int32][]int32 {
+	out := borderSet{m: make(map[int32][]int32)}
+	st.ex.BlockedFor(st.cells.NumCells(), 1, func(lo, hi int) {
 		ws := st.getWS()
-		var multiP []int32   // border points in 2+ clusters found by this block
-		var multiM [][]int32 // their membership lists (freshly allocated)
 		for g := lo; g < hi; g++ {
 			if st.cancelled() {
 				break // partial labels; the run bails before returning them
 			}
-			if st.p.Sample == nil && c.CellSize(g) >= st.p.MinPts {
-				continue // all points are core (exact runs only; under a
-				// sample mask big cells hold unsampled non-core points)
-			}
-			built := false
-			pts := c.RowsOf(g)
-			orig := c.PointsOf(g) // pts[i] is payload row of original point orig[i]
-			for i, p := range pts {
-				op := orig[i]
-				if st.coreFlags[op] {
-					continue
-				}
-				if !built {
-					st.borderCellCandidates(int32(g), labels, ws)
-					built = true
-				}
-				if len(ws.sure) == 0 && len(ws.cand) == 0 {
-					break // no reachable cores anywhere near this cell
-				}
-				found := append(ws.found[:0], ws.sure...)
-				for _, h := range ws.cand {
-					found = st.borderScanCell(p, h, labels, found)
-				}
-				ws.found = found // keep grown capacity
-				if len(found) > 0 {
-					labels[op] = found[0]
-					if len(found) > 1 {
-						multiP = append(multiP, op)
-						multiM = append(multiM, append([]int32(nil), found...))
-					}
-				}
-			}
+			st.borderCell(g, labels, ws, &out, 0)
 		}
 		st.putWS(ws)
-		if len(multiP) > 0 {
-			mu.Lock()
-			for i, p := range multiP {
-				border[p] = multiM[i]
-			}
-			mu.Unlock()
-		}
 	})
-	return border
+	return out.m
+}
+
+// borderSet collects the multi-cluster border points of one run. Their
+// membership lists are rare and escape into the Result, so they are freshly
+// allocated and merged under a mutex, once per cell that has any.
+type borderSet struct {
+	mu sync.Mutex
+	m  map[int32][]int32
+}
+
+// borderCell is Algorithm 4 for the non-core points of cell g, the body
+// every path shares: labels[op] receives a point's smallest cluster, and a
+// point in two or more clusters lands in out keyed by op+keyOff (keyOff
+// translates a window's local flag indices to the run's).
+func (st *pipeline) borderCell(g int, labels []int32, ws *workerScratch, out *borderSet, keyOff int32) {
+	c := st.cells
+	if st.p.Sample == nil && c.CellSize(g) >= st.p.MinPts {
+		return // all points are core (exact runs only; under a sample
+		// mask big cells hold unsampled non-core points)
+	}
+	built := false
+	var multiP []int32   // points of g in 2+ clusters
+	var multiM [][]int32 // their membership lists (freshly allocated)
+	pts := c.RowsOf(g)
+	orig := c.PointsOf(g) // pts[i] is payload row of original point orig[i]
+	for i, p := range pts {
+		op := orig[i]
+		if st.coreFlags[op] {
+			continue
+		}
+		if !built {
+			st.borderCellCandidates(int32(g), labels, ws)
+			built = true
+		}
+		if len(ws.sure) == 0 && len(ws.cand) == 0 {
+			break // no reachable cores anywhere near this cell
+		}
+		found := append(ws.found[:0], ws.sure...)
+		for _, h := range ws.cand {
+			found = st.borderScanCell(p, h, labels, found)
+		}
+		ws.found = found // keep grown capacity
+		if len(found) > 0 {
+			labels[op] = found[0]
+			if len(found) > 1 {
+				multiP = append(multiP, op)
+				multiM = append(multiM, append([]int32(nil), found...))
+			}
+		}
+	}
+	if len(multiP) == 0 {
+		return
+	}
+	out.mu.Lock()
+	for i, op := range multiP {
+		out.m[op+keyOff] = multiM[i]
+	}
+	out.mu.Unlock()
 }
 
 // borderCellCandidates resolves, once per cell, which neighboring core cells

@@ -107,7 +107,10 @@ func TestRunCancelPhaseBoundaryAllStrategies(t *testing.T) {
 }
 
 // TestRunShardedCancelAtEveryPhaseBoundary is the sharded-path variant,
-// covering the boundary-merge phase the monolithic path does not have.
+// covering the cross-shard merge phase the monolithic path does not have,
+// for both sources of the sharded executor: RunSharded over the partition,
+// and RunOutOfCore over a store written from the same cells and partition
+// (whose window phases are announced once per shard; the first one cancels).
 func TestRunShardedCancelAtEveryPhaseBoundary(t *testing.T) {
 	pts := clusteredPoints(8000, 2, 100, 11)
 	cells := buildGridCells(pts, 2.0)
@@ -118,34 +121,47 @@ func TestRunShardedCancelAtEveryPhaseBoundary(t *testing.T) {
 	if part.NumShards < 2 {
 		t.Fatalf("partition produced %d shards, want >= 2", part.NumShards)
 	}
-	arena := NewArena()
-	base := Params{MinPts: 10, Graph: GraphBCP, Arena: arena}
-	want, err := RunSharded(cells, base, part)
-	if err != nil {
-		t.Fatal(err)
+	store := writeTestStore(t, cells, part)
+	runs := []struct {
+		name string
+		run  func(Params) (*Result, error)
+	}{
+		{"sharded", func(p Params) (*Result, error) { return RunSharded(cells, p, part) }},
+		{"out-of-core", func(p Params) (*Result, error) {
+			res, _, err := RunOutOfCore(store, p, 0)
+			return res, err
+		}},
 	}
-	for _, phase := range []string{"mark", "graph", "merge", "label", "border", "done"} {
-		ctx, cancel := context.WithCancel(context.Background())
-		p := base
-		p.Exec = parallel.NewPoolContext(ctx, 0)
-		p.PhaseHook = func(name string) {
-			if name == phase {
-				cancel()
-			}
-		}
-		res, err := RunSharded(cells, p, part)
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("sharded cancel at %q: err = %v, want context.Canceled", phase, err)
-		}
-		if res != nil {
-			t.Fatalf("sharded cancel at %q: got a result alongside the error", phase)
-		}
-		got, err := RunSharded(cells, base, part)
+	for _, r := range runs {
+		arena := NewArena()
+		base := Params{MinPts: 10, Graph: GraphBCP, Arena: arena}
+		want, err := r.run(base)
 		if err != nil {
-			t.Fatalf("sharded run after cancel at %q: %v", phase, err)
+			t.Fatal(err)
 		}
-		sameCoreResult(t, got, want, "sharded rerun after cancel at "+phase)
+		for _, phase := range []string{"mark", "graph", "merge", "label", "border", "done"} {
+			ctx, cancel := context.WithCancel(context.Background())
+			p := base
+			p.Exec = parallel.NewPoolContext(ctx, 0)
+			p.PhaseHook = func(name string) {
+				if name == phase {
+					cancel()
+				}
+			}
+			res, err := r.run(p)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s cancel at %q: err = %v, want context.Canceled", r.name, phase, err)
+			}
+			if res != nil {
+				t.Fatalf("%s cancel at %q: got a result alongside the error", r.name, phase)
+			}
+			got, err := r.run(base)
+			if err != nil {
+				t.Fatalf("%s run after cancel at %q: %v", r.name, phase, err)
+			}
+			sameCoreResult(t, got, want, r.name+" rerun after cancel at "+phase)
+		}
 	}
 }
 

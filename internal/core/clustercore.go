@@ -97,6 +97,17 @@ func (st *pipeline) coreSizeLess(a, b int32) bool {
 	return a < b
 }
 
+// coreSizeCmp is coreSizeLess as a slices.SortFunc comparison.
+func (st *pipeline) coreSizeCmp(a, b int32) int {
+	if st.coreSizeLess(a, b) {
+		return -1
+	}
+	if st.coreSizeLess(b, a) {
+		return 1
+	}
+	return 0
+}
+
 // connectFn returns the cell-pair connectivity predicate of the configured
 // graph strategy, allocating whatever lazy per-cell state the strategy needs.
 // The predicate is a pure deterministic function of the cell pair (given the
@@ -128,8 +139,11 @@ func (st *pipeline) connectFn() connectFunc {
 // neighbor h (in either cell order): skip non-core cells, filter by the core
 // bounding boxes, prune pairs already connected in the union-find, and union
 // on a positive connectivity answer. Shared verbatim by the monolithic batch
-// traversal and the sharded intra-shard and boundary-merge passes, so every
-// path applies the identical edge function.
+// traversal and both sharded sources' intra-shard and cross-shard steps, so
+// every path applies the identical edge function. The predicate always sees
+// the cell with the higher global id first, as in the monolithic traversal:
+// the approximate query may answer differently in the two directions, so
+// every path must ask the same one.
 func (st *pipeline) processPair(g, h int32, connect connectFunc, ws *workerScratch) {
 	if len(st.corePts[g]) == 0 || len(st.corePts[h]) == 0 {
 		return // not a core cell pair
@@ -140,12 +154,24 @@ func (st *pipeline) processPair(g, h int32, connect connectFunc, ws *workerScrat
 		return
 	}
 	// Reduced connectivity queries: skip if already connected.
-	if st.uf.SameSet(g, h) {
+	ug, uh := st.gid(g), st.gid(h)
+	if st.uf.SameSet(ug, uh) {
 		return
 	}
-	if connect(g, h, ws) {
-		st.uf.Union(g, h)
+	if ug < uh {
+		g, h = h, g
 	}
+	if connect(g, h, ws) {
+		st.uf.Union(ug, uh)
+	}
+}
+
+// gid returns the global cell id (the union-find key) of cell g.
+func (st *pipeline) gid(g int32) int32 {
+	if st.global == nil {
+		return g
+	}
+	return st.global[g]
 }
 
 // bcpConnected decides cell connectivity with a bichromatic closest pair
@@ -236,7 +262,7 @@ func (st *pipeline) clusterCoreDelaunay() {
 // delaunayUnion triangulates the core points of the given cells and unions
 // the cells joined by an inter-cell edge of length at most eps. The cell list
 // is the whole core-cell set for the monolithic path and one shard's owned
-// core cells for the sharded path: the triangulation of any point subset
+// core cells for the sharded paths: the triangulation of any point subset
 // still contains its Euclidean MST, whose edges realize every eps-connection
 // within the subset, so per-shard triangulations plus exact cross-boundary
 // BCP edges reach exactly the exact-DBSCAN components.
@@ -262,6 +288,6 @@ func (st *pipeline) delaunayUnion(cellList []int32) {
 	edges := delaunay.Triangulate(st.ex, st.cells.Pts, all)
 	cellEdges := delaunay.FilterCellEdges(st.ex, edges, st.cells.Pts, st.cells.CellOf, st.eps)
 	st.ex.For(len(cellEdges), func(i int) {
-		st.uf.Union(cellEdges[i].U, cellEdges[i].V)
+		st.uf.Union(st.gid(cellEdges[i].U), st.gid(cellEdges[i].V))
 	})
 }

@@ -78,7 +78,7 @@ const edgeChunk = 1 << 16
 // Prim vertex, not per pair), and Prim's ties break by original index, so
 // the output does not depend on the payload order.
 func ComputeHierarchy(cells *grid.Cells, p Params) (*HierarchyData, error) {
-	if err := validateParams(cells, &p); err != nil {
+	if err := validateCells(cells, &p); err != nil {
 		return nil, err
 	}
 	if p.Sample != nil {

@@ -95,7 +95,7 @@ type edgeEntry struct {
 // (deterministic per cell pair, hence cacheable). Bucketing is a scheduling
 // heuristic for the pruned batch path and is ignored here.
 func RunIncremental(cells *grid.Cells, p Params, inc *Incremental, dirty *grid.DirtyInfo) (*Result, error) {
-	if err := validateParams(cells, &p); err != nil {
+	if err := validateCells(cells, &p); err != nil {
 		return nil, err
 	}
 	if inc == nil || dirty == nil {
@@ -185,7 +185,7 @@ func RunIncremental(cells *grid.Cells, p Params, inc *Incremental, dirty *grid.D
 	if err := boundary("border"); err != nil {
 		return nil, err
 	}
-	border := st.clusterBorder(labels, numClusters)
+	border := st.clusterBorder(labels)
 	if err := boundary("done"); err != nil {
 		return nil, err
 	}

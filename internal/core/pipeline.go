@@ -86,28 +86,31 @@ type Params struct {
 
 	// Timings, when non-nil, receives the wall-clock duration of each
 	// pipeline phase of the run (the observability seam RunStats is built
-	// on). Written once, at phase completion, by the run's own goroutine.
+	// on). Each phase's duration is added at its completion, by the run's
+	// own goroutine, so pass a zeroed PhaseTimings per run.
 	Timings *PhaseTimings
 
 	// PhaseHook, when non-nil, is called on the run's goroutine at the start
 	// of each pipeline phase with the phase's name: "mark", "collect",
-	// "graph", "merge" (sharded only), "label", "border" — and, for
-	// ComputeHierarchy builds, "coredist", "edges", "mst". It exists for
-	// observability and for tests that need a deterministic point inside a
-	// run (the cancellation suite cancels a context from it); it must be
-	// cheap and must not mutate pipeline state.
+	// "graph", "merge" (sharded only), "label", "border", "done" — and, for
+	// ComputeHierarchy builds, "coredist", "edges", "mst". Out-of-core runs
+	// announce "mark", "graph", "merge" and "border" once per shard window.
+	// It exists for observability and for tests that need a deterministic
+	// point inside a run (the cancellation suite cancels a context from it);
+	// it must be cheap and must not mutate pipeline state.
 	PhaseHook func(phase string)
 }
 
-// PhaseTimings records how long each pipeline phase of one run took. The
-// sharded path reports its per-shard mark+collect pass as Mark, its
-// intra-shard graph pass as Graph, and its boundary pass as Merge; the
-// monolithic and incremental paths leave Merge zero.
+// PhaseTimings records how long each pipeline phase of one run took; a phase
+// announced once per shard window accumulates over the windows. The sharded
+// paths report their per-shard mark+collect step as Mark, the intra-shard
+// graph as Graph, and the cross-shard pairs as Merge; the monolithic and
+// incremental paths leave Merge zero.
 type PhaseTimings struct {
 	Mark    time.Duration // MarkCore (Algorithm 2)
 	Collect time.Duration // per-cell core lists, boxes, core-cell set
 	Graph   time.Duration // ClusterCore cell graph (Algorithm 3)
-	Merge   time.Duration // sharded boundary merge (RunSharded only)
+	Merge   time.Duration // cross-shard pairs (RunSharded, RunOutOfCore)
 	Label   time.Duration // dense label assignment
 	Border  time.Duration // ClusterBorder (Algorithm 4)
 
@@ -151,11 +154,11 @@ type pipeline struct {
 	arena *Arena      // == p.Arena (nil: no pooling)
 	rs    *runScratch // this run's checked-out scratch; returned by release
 
-	// Phase timing cursor: phaseDur (a field of p.Timings, nil when timings
-	// are off) receives the elapsed time since phaseT0 at the next phase
-	// transition.
-	phaseT0  time.Time
-	phaseDur *time.Duration
+	phaseClock
+
+	// global maps a window-local cell to its global cell id, the key of the
+	// union-find; nil is the identity (every path but out-of-core windows).
+	global []int32
 
 	coreFlags []bool
 	corePts   [][]int32 // per cell: payload rows of its core points
@@ -181,23 +184,20 @@ type lazyTree struct {
 	tree *quadtree.Tree
 }
 
-// validateParams checks cells/Params compatibility and applies defaults
-// (shared by Run and RunIncremental).
-func validateParams(cells *grid.Cells, p *Params) error {
-	if cells.Neighbors == nil {
-		return fmt.Errorf("core: cells have no neighbor lists; call a ComputeNeighbors method first")
-	}
+// validateParams checks Params against n points of dimension d and applies
+// defaults (shared by every entry point).
+func validateParams(d, n int, p *Params) error {
 	if p.MinPts < 1 {
 		return fmt.Errorf("core: MinPts must be >= 1, got %d", p.MinPts)
 	}
 	if p.Graph == GraphApprox && p.Rho <= 0 {
 		return fmt.Errorf("core: GraphApprox requires Rho > 0, got %v", p.Rho)
 	}
-	if (p.Graph == GraphUSEC || p.Graph == GraphDelaunay) && cells.Pts.D != 2 {
-		return fmt.Errorf("core: USEC and Delaunay strategies are 2D only (d=%d)", cells.Pts.D)
+	if (p.Graph == GraphUSEC || p.Graph == GraphDelaunay) && d != 2 {
+		return fmt.Errorf("core: USEC and Delaunay strategies are 2D only (d=%d)", d)
 	}
-	if p.Sample != nil && len(p.Sample) != cells.Pts.N {
-		return fmt.Errorf("core: Sample mask has %d entries for %d points", len(p.Sample), cells.Pts.N)
+	if p.Sample != nil && len(p.Sample) != n {
+		return fmt.Errorf("core: Sample mask has %d entries for %d points", len(p.Sample), n)
 	}
 	if p.Buckets <= 0 {
 		p.Buckets = 32
@@ -205,16 +205,26 @@ func validateParams(cells *grid.Cells, p *Params) error {
 	return nil
 }
 
+// validateCells is validateParams for a run over prepared cells.
+func validateCells(cells *grid.Cells, p *Params) error {
+	if cells.Neighbors == nil {
+		return fmt.Errorf("core: cells have no neighbor lists; call a ComputeNeighbors method first")
+	}
+	return validateParams(cells.Pts.D, cells.Pts.N, p)
+}
+
 // newPipeline builds the per-run state: the dimension-resolved kernel over
 // the cells' payload and a runScratch checked out of p.Arena (fresh when
 // nil). Callers must pair it with release.
 func newPipeline(cells *grid.Cells, p Params) *pipeline {
 	pts := cells.PayloadPts()
-	return &pipeline{
+	st := &pipeline{
 		cells: cells, p: p, eps: cells.Eps, eps2: cells.Eps * cells.Eps,
 		ex: p.Exec, k: geom.NewKernel(pts), arena: p.Arena, rs: p.Arena.getRun(),
 		pts: pts,
 	}
+	st.phaseClock.p = &st.p
+	return st
 }
 
 // release returns the run's scratch to the arena. The scratch keeps aliases
@@ -242,45 +252,56 @@ func (st *pipeline) initUF(numCells int) {
 // path).
 func (st *pipeline) cancelled() bool { return st.ex.Cancelled() }
 
-// phase announces a phase transition: it stamps the previous phase's
-// duration into Timings, fires the PhaseHook, and reports the executor
-// context's error — the pipeline's cancellation boundary. Each phase
-// function runs only when the boundary before it is clean, so a cancelled
-// run unwinds after at most one phase's grain of work, with every output
-// left unconsumed. "done" closes the last phase without opening a new one.
-func (st *pipeline) phase(name string) error {
+// phaseClock is a run's phase cursor: dur (a field of p.Timings, nil when
+// timings are off or no phase is open) receives the time since t0 when the
+// next phase transition closes the open phase.
+type phaseClock struct {
+	p   *Params
+	t0  time.Time
+	dur *time.Duration
+}
+
+// phase announces a phase transition: it adds the open phase's duration to
+// Timings, fires the PhaseHook, and reports the executor context's error —
+// the pipeline's cancellation boundary. Each phase function runs only when
+// the boundary before it is clean, so a cancelled run unwinds after at most
+// one phase's grain of work, with every output left unconsumed. "done"
+// closes the last phase without opening a new one; the empty name closes
+// the open phase silently (no hook), keeping the work until the next
+// announcement — such as mapping a shard window — outside every phase.
+func (c *phaseClock) phase(name string) error {
 	now := time.Now()
-	if st.phaseDur != nil {
-		*st.phaseDur = now.Sub(st.phaseT0)
+	if c.dur != nil {
+		*c.dur += now.Sub(c.t0)
 	}
-	st.phaseT0 = now
-	st.phaseDur = nil
-	if tm := st.p.Timings; tm != nil {
+	c.t0 = now
+	c.dur = nil
+	if tm := c.p.Timings; tm != nil {
 		switch name {
 		case "mark":
-			st.phaseDur = &tm.Mark
+			c.dur = &tm.Mark
 		case "collect":
-			st.phaseDur = &tm.Collect
+			c.dur = &tm.Collect
 		case "graph":
-			st.phaseDur = &tm.Graph
+			c.dur = &tm.Graph
 		case "merge":
-			st.phaseDur = &tm.Merge
+			c.dur = &tm.Merge
 		case "label":
-			st.phaseDur = &tm.Label
+			c.dur = &tm.Label
 		case "border":
-			st.phaseDur = &tm.Border
+			c.dur = &tm.Border
 		case "coredist":
-			st.phaseDur = &tm.CoreDist
+			c.dur = &tm.CoreDist
 		case "edges":
-			st.phaseDur = &tm.Edges
+			c.dur = &tm.Edges
 		case "mst":
-			st.phaseDur = &tm.MST
+			c.dur = &tm.MST
 		}
 	}
-	if st.p.PhaseHook != nil {
-		st.p.PhaseHook(name)
+	if c.p.PhaseHook != nil && name != "" {
+		c.p.PhaseHook(name)
 	}
-	return st.ex.Err()
+	return c.p.Exec.Err()
 }
 
 // Run executes the full pipeline on prepared cells (Neighbors must have been
@@ -290,7 +311,7 @@ func (st *pipeline) phase(name string) error {
 // stays inside the run's arena scratch, which the release leaves ready for
 // the owner's next run.
 func Run(cells *grid.Cells, p Params) (*Result, error) {
-	if err := validateParams(cells, &p); err != nil {
+	if err := validateCells(cells, &p); err != nil {
 		return nil, err
 	}
 	st := newPipeline(cells, p)
@@ -314,7 +335,7 @@ func Run(cells *grid.Cells, p Params) (*Result, error) {
 	if err := st.phase("border"); err != nil {
 		return nil, err
 	}
-	border := st.clusterBorder(labels, numClusters)
+	border := st.clusterBorder(labels)
 	if err := st.phase("done"); err != nil {
 		return nil, err
 	}

@@ -5,16 +5,16 @@ import (
 	"slices"
 
 	"pdbscan/internal/grid"
+	"pdbscan/internal/parallel"
+	"pdbscan/internal/unionfind"
 )
 
 // RunSharded executes the pipeline as a partition/merge computation over a
-// spatial Partition of the cell lattice: every shard marks cores, collects
-// per-cell core state, and builds the intra-shard cell graph independently
-// (shards run in parallel on the executor, each one serially — shard-level
-// parallelism replaces the phase-level parallel loops of Run), then a
-// boundary-merge pass evaluates only the cell-graph edges that cross shard
-// cuts and stitches the shard-local components together in the global
-// lock-free union-find. Labels and borders are derived exactly as in Run.
+// spatial Partition of the cell lattice: the sharded executor (runShards)
+// over one window that holds every shard, so each step runs shards in
+// parallel, each one serially — shard-level parallelism replaces the
+// phase-level parallel loops of Run. Cross-shard pairs are visited only from
+// the Partition's Boundary cells.
 //
 // The result is identical to Run on the same cells — bit-for-bit, not merely
 // up to label permutation — for every strategy including GraphApprox:
@@ -23,12 +23,13 @@ import (
 //     within eps, all reachable through its cell's neighbor list regardless
 //     of which shard owns them (halo cells are read, never written).
 //   - Every per-pair connectivity predicate (connectFn) is a pure function
-//     of the cell pair, so the connected components equal those of the full
-//     edge set no matter which pass — intra-shard or boundary — evaluates an
-//     edge, or skips it as already connected. GraphDelaunay has no per-pair
+//     of the oriented cell pair, and processPair orients every pair as Run
+//     does, so the connected components equal those of the full edge set no
+//     matter which step — intra-shard or cross-shard — evaluates an edge, or
+//     skips it as already connected. GraphDelaunay has no per-pair
 //     predicate; each shard triangulates its own core points (the subset
 //     triangulation contains the subset's Euclidean MST, preserving every
-//     intra-shard eps-connection) and boundary edges use exact BCP, which
+//     intra-shard eps-connection) and cross-shard edges use exact BCP, which
 //     lands on the same exact components every exact strategy defines.
 //   - Union-by-index makes a component's root its minimum cell index —
 //     independent of union order — and DenseRoots assigns labels by root
@@ -40,159 +41,312 @@ import (
 // shard. Results are unaffected (the components do not depend on evaluation
 // order).
 func RunSharded(cells *grid.Cells, p Params, part *grid.Partition) (*Result, error) {
-	if err := validateParams(cells, &p); err != nil {
-		return nil, err
+	if cells.Neighbors == nil || part == nil || len(part.ShardOf) != cells.NumCells() {
+		return nil, fmt.Errorf("core: RunSharded requires cells with neighbor lists and a Partition of them")
 	}
-	numCells := cells.NumCells()
-	if part == nil || len(part.ShardOf) != numCells {
-		return nil, fmt.Errorf("core: RunSharded requires a Partition of the given cells")
+	src := &ramSource{cells: cells, part: part}
+	defer src.release()
+	return runShards(src, cells.Pts.D, cells.Pts.N, cells.NumCells(), p)
+}
+
+// shardSource yields the windows a sharded run sweeps. A window is a cell
+// structure holding one or more whole shards plus their halos.
+type shardSource interface {
+	// windows is the number of windows per sweep.
+	windows() int
+	// open readies window w of the graph sweep or of the border sweep,
+	// standing its pipeline up with r.window.
+	open(r *shardRun, w int, border bool) (*shardWindow, error)
+	// label writes every point's label in flag order: cellLabel(gc) for the
+	// core points of global cell gc, -1 for every other point.
+	label(ex *parallel.Pool, coreFlags []bool, labels []int32, cellLabel func(gc int32) int32)
+}
+
+// shardWindow is one open window: its pipeline (whose core flags and
+// union-find are the run's) and the shards it owns.
+type shardWindow struct {
+	st      *pipeline
+	owned   [][]int32 // per owned shard: its cells, ascending local ids
+	cross   [][]int32 // per owned shard: the owned cells that may neighbor an earlier shard
+	shardOf []int32   // local cell -> shard
+	// recollect is the number of leading local cells whose core state this
+	// window rebuilds from the run's flags before the step that reads it:
+	// earlier shards' cells before the cross-shard pairs, every cell before
+	// the borders of a window mapped afresh.
+	recollect int
+	flagLo    int    // the run's flag index of the window's first point
+	close     func() // nil: the window stays open for the next sweep
+}
+
+// shardRun is the state of one sharded execution, keyed globally: core flags
+// and labels in flag order, and the union-find over global cell ids.
+type shardRun struct {
+	phaseClock
+	p         Params
+	src       shardSource
+	uf        *unionfind.UF
+	coreFlags []bool
+	hasCore   []bool // per global cell: holds a core point
+	labels    []int32
+	border    borderSet
+}
+
+// runShards is the sharded executor behind RunSharded and RunOutOfCore. It
+// sweeps the source's windows twice. The graph sweep runs, per window, the
+// steps "mark" (MarkCore and core collection for the owned cells), "graph"
+// (the intra-shard cell graph) and "merge" (every pair between an owned cell
+// and a cell of an earlier shard — each cross-shard pair once, in the step
+// of its later shard). Labels are then assigned once over the global cells
+// ("label"), and the border sweep attaches every window's owned non-core
+// points ("border").
+func runShards(src shardSource, d, n, numCells int, p Params) (*Result, error) {
+	if err := validateParams(d, n, &p); err != nil {
+		return nil, err
 	}
 	if p.Sample != nil {
 		return nil, fmt.Errorf("core: sampled-core runs are monolithic (Run), not sharded")
 	}
-	st := newPipeline(cells, p)
-	defer st.release()
-
-	// Phase 1 — per shard: MarkCore then collect core state for every owned
-	// cell. Marking reads the points of neighbor cells wherever they live
-	// (halo reads are the only cross-shard traffic, and they are read-only);
-	// collection touches only the cell's own flags, set just before.
-	if err := st.phase("mark"); err != nil {
+	r := &shardRun{
+		p:         p,
+		src:       src,
+		uf:        unionfind.New(numCells),
+		coreFlags: make([]bool, n), // escapes into Result.Core
+		hasCore:   make([]bool, numCells),
+		border:    borderSet{m: make(map[int32][]int32)},
+	}
+	r.phaseClock.p = &r.p
+	if err := r.sweep(false, r.graphSteps); err != nil {
 		return nil, err
 	}
-	st.coreFlags = make([]bool, cells.Pts.N) // escapes into Result.Core
-	if st.p.Mark == MarkQuadtree {
-		st.rs.allTrees = lazyTreeBuf(st.rs.allTrees, numCells)
-		st.allTrees = st.rs.allTrees
+	if err := r.phase("label"); err != nil {
+		return nil, err
 	}
-	st.initCoreState()
-	st.ex.ForGrain(part.NumShards, 1, func(s int) {
-		ws := st.getWS()
-		for _, g := range part.Owned[s] {
-			if st.cancelled() {
-				break
-			}
-			st.markCellCore(int(g), ws)
+	roots, dense := unionfind.DenseRoots(p.Exec, r.uf, func(g int32) bool { return r.hasCore[g] })
+	r.labels = make([]int32, n)
+	src.label(p.Exec, r.coreFlags, r.labels, func(gc int32) int32 {
+		if !r.hasCore[gc] {
+			return -1
 		}
-		for _, g := range part.Owned[s] {
-			if st.cancelled() {
-				break
-			}
-			st.collectCellCore(int(g))
-		}
-		st.putWS(ws)
+		return dense[r.uf.Find(gc)]
 	})
-	// st.coreCells stays nil: the monolithic traversal's global core-cell
-	// list has no sharded consumer — each shard derives its own from
-	// corePts, and labels/borders test corePts directly.
-
-	// Phase 2 — per shard: intra-shard cell graph. Unions stay within the
-	// shard's owned cells, so shards never contend; the union-find is global
-	// only so phase 3 can link across shards without re-indexing.
-	if err := st.phase("graph"); err != nil {
+	if err := r.sweep(true, r.borderStep); err != nil {
 		return nil, err
 	}
-	st.initUF(numCells)
-	var connect connectFunc
-	if st.p.Graph == GraphDelaunay {
-		connect = st.bcpConnected // boundary edges: exact per-pair predicate
-	} else {
-		connect = st.connectFn()
-	}
-	st.ex.ForGrain(part.NumShards, 1, func(s int) {
-		ws := st.getWS()
-		st.clusterShard(part, s, connect, ws)
-		st.putWS(ws)
-	})
-
-	// Phase 3 — boundary merge: evaluate the cell-graph edges that cross
-	// shard cuts. Only boundary cells can carry one; the higher-index cell
-	// evaluates each pair (same dedup rule as the monolithic traversal), so
-	// every cross edge is examined exactly once, by the owner of its higher
-	// cell. Cross-shard unions on the lock-free union-find are safe.
-	if err := st.phase("merge"); err != nil {
-		return nil, err
-	}
-	st.ex.ForGrain(part.NumShards, 1, func(s int) {
-		ws := st.getWS()
-		for _, g := range part.Boundary[s] {
-			if st.cancelled() {
-				break
-			}
-			if len(st.corePts[g]) == 0 {
-				continue
-			}
-			for _, h := range st.cells.Neighbors[g] {
-				if h >= g || part.ShardOf[h] == int32(s) {
-					continue
-				}
-				st.processPair(g, h, connect, ws)
-			}
-		}
-		st.putWS(ws)
-	})
-
-	if err := st.phase("label"); err != nil {
-		return nil, err
-	}
-	labels, numClusters := st.coreLabels()
-	if err := st.phase("border"); err != nil {
-		return nil, err
-	}
-	border := st.clusterBorder(labels, numClusters)
-	if err := st.phase("done"); err != nil {
+	if err := r.phase("done"); err != nil {
 		return nil, err
 	}
 	return &Result{
-		Core:        st.coreFlags,
-		Labels:      labels,
-		Border:      border,
-		NumClusters: numClusters,
+		Core:        r.coreFlags,
+		Labels:      r.labels,
+		Border:      r.border.m,
+		NumClusters: len(roots),
 	}, nil
 }
 
-// clusterShard builds the cell graph restricted to shard s: owned core cells
-// in size-sorted order (Algorithm 3's SortBySize, per shard), each examining
-// its lower-index same-shard neighbors. Cross-shard pairs are left to the
-// boundary-merge pass.
-func (st *pipeline) clusterShard(part *grid.Partition, s int, connect connectFunc, ws *workerScratch) {
-	if st.p.Graph == GraphDelaunay {
-		// Triangulate this shard's own core points; inter-cell edges <= eps
-		// union owned cells only (every triangulated point is owned).
-		var coreCells []int32
-		for _, g := range part.Owned[s] {
-			if len(st.corePts[g]) > 0 {
-				coreCells = append(coreCells, g)
-			}
+// sweep opens each window in turn, runs step on it and closes it. Steps end
+// by closing their last phase, and sweep closes any phase still open before
+// it opens a window, so opening and closing windows stays outside every
+// phase.
+func (r *shardRun) sweep(border bool, step func(*shardWindow) error) error {
+	for w := range r.src.windows() {
+		if err := r.phase(""); err != nil {
+			return err
 		}
-		st.delaunayUnion(coreCells)
-		return
+		win, err := r.src.open(r, w, border)
+		if err != nil {
+			return err
+		}
+		err = step(win)
+		if win.close != nil {
+			win.close()
+		}
+		if err != nil {
+			return err
+		}
 	}
-	order := ws.cellOrder[:0]
-	for _, g := range part.Owned[s] {
+	return nil
+}
+
+// window stands a pipeline up over a window's cells: its core flags are the
+// run's, from flag index flagLo on, and its unions land in the run's
+// union-find through global (nil: the identity). The caller releases it.
+func (r *shardRun) window(cells *grid.Cells, global []int32, flagLo int) *pipeline {
+	st := newPipeline(cells, r.p)
+	st.global = global
+	st.uf = r.uf
+	st.coreFlags = r.coreFlags[flagLo : flagLo+cells.Pts.N]
+	if st.p.Mark == MarkQuadtree {
+		st.rs.allTrees = lazyTreeBuf(st.rs.allTrees, cells.NumCells())
+		st.allTrees = st.rs.allTrees
+	}
+	st.initCoreState()
+	return st
+}
+
+// graphSteps runs the graph sweep's steps on one window.
+func (r *shardRun) graphSteps(w *shardWindow) error {
+	st := w.st
+	if err := r.phase("mark"); err != nil {
+		return err
+	}
+	w.each(w.ownedCells, func(g int32, ws *workerScratch) {
+		st.markCellCore(int(g), ws)
+		st.collectCellCore(int(g))
 		if len(st.corePts[g]) > 0 {
-			order = append(order, g)
+			r.hasCore[st.gid(g)] = true
 		}
-	}
-	ws.cellOrder = order // keep grown capacity
-	slices.SortFunc(order, func(a, b int32) int {
-		if st.coreSizeLess(a, b) {
-			return -1
-		}
-		if st.coreSizeLess(b, a) {
-			return 1
-		}
-		return 0
 	})
-	for _, g := range order {
-		if st.cancelled() {
+
+	if err := r.phase("graph"); err != nil {
+		return err
+	}
+	var connect connectFunc
+	if st.p.Graph == GraphDelaunay {
+		// Each shard triangulates its own core points; cross-shard pairs
+		// take the exact per-pair predicate.
+		connect = st.bcpConnected
+		st.ex.ForGrain(len(w.owned), 1, func(i int) {
+			var coreCells []int32
+			for _, g := range w.owned[i] {
+				if len(st.corePts[g]) > 0 {
+					coreCells = append(coreCells, g)
+				}
+			}
+			st.delaunayUnion(coreCells)
+		})
+	} else {
+		connect = st.connectFn()
+		// Owned core cells in SortBySize order (Algorithm 3, line 3), each
+		// examining its same-shard neighbors of lower global id.
+		w.each(func(i int, ws *workerScratch) []int32 {
+			order := ws.cellOrder[:0]
+			for _, g := range w.owned[i] {
+				if len(st.corePts[g]) > 0 {
+					order = append(order, g)
+				}
+			}
+			slices.SortFunc(order, st.coreSizeCmp)
+			ws.cellOrder = order // keep grown capacity
+			return order
+		}, func(g int32, ws *workerScratch) {
+			s, id := w.shardOf[g], st.gid(g)
+			for _, h := range st.cells.Neighbors[g] {
+				if w.shardOf[h] == s && st.gid(h) < id {
+					st.processPair(g, h, connect, ws)
+				}
+			}
+		})
+	}
+
+	if err := r.phase("merge"); err != nil {
+		return err
+	}
+	st.ex.ForGrain(w.recollect, 1, st.collectCellCore)
+	w.each(func(i int, _ *workerScratch) []int32 { return w.cross[i] }, func(g int32, ws *workerScratch) {
+		if len(st.corePts[g]) == 0 {
 			return
 		}
+		s := w.shardOf[g]
 		for _, h := range st.cells.Neighbors[g] {
-			if h >= g || part.ShardOf[h] != int32(s) {
-				continue
+			if w.shardOf[h] < s {
+				st.processPair(g, h, connect, ws)
 			}
-			st.processPair(g, h, connect, ws)
 		}
+	})
+	return r.phase("")
+}
+
+// borderStep attaches the border points of one window's owned cells. Core
+// flags and core labels are final, and every neighbor of an owned cell is
+// in the window.
+func (r *shardRun) borderStep(w *shardWindow) error {
+	st := w.st
+	if err := r.phase("border"); err != nil {
+		return err
+	}
+	st.ex.ForGrain(w.recollect, 1, st.collectCellCore)
+	labels := r.labels[w.flagLo : w.flagLo+st.cells.Pts.N]
+	w.each(w.ownedCells, func(g int32, ws *workerScratch) {
+		st.borderCell(int(g), labels, ws, &r.border, int32(w.flagLo))
+	})
+	return r.phase("")
+}
+
+// ownedCells lists the cells of the window's i-th owned shard.
+func (w *shardWindow) ownedCells(i int, _ *workerScratch) []int32 { return w.owned[i] }
+
+// each runs body over the cells list(i, ws) returns for every owned shard i,
+// stopping at cancellation. The window decides the loop shape: several
+// shards run in parallel, each one serially on one goroutine; a single
+// shard runs in parallel over its cells.
+func (w *shardWindow) each(list func(i int, ws *workerScratch) []int32, body func(g int32, ws *workerScratch)) {
+	st := w.st
+	if len(w.owned) != 1 {
+		st.ex.ForGrain(len(w.owned), 1, func(i int) {
+			ws := st.getWS()
+			for _, g := range list(i, ws) {
+				if st.cancelled() {
+					break
+				}
+				body(g, ws)
+			}
+			st.putWS(ws)
+		})
+		return
+	}
+	lws := st.getWS()
+	cells := list(0, lws)
+	st.ex.BlockedFor(len(cells), 1, func(lo, hi int) {
+		ws := st.getWS()
+		for _, g := range cells[lo:hi] {
+			if st.cancelled() {
+				break
+			}
+			body(g, ws)
+		}
+		st.putWS(ws)
+	})
+	st.putWS(lws)
+}
+
+// ramSource is the in-RAM source: one window over every cell, whose local
+// cell ids are the global ones, kept open across both sweeps.
+type ramSource struct {
+	cells *grid.Cells
+	part  *grid.Partition
+	win   *shardWindow
+}
+
+func (s *ramSource) windows() int { return 1 }
+
+func (s *ramSource) open(r *shardRun, _ int, _ bool) (*shardWindow, error) {
+	if s.win == nil {
+		s.win = &shardWindow{
+			st:      r.window(s.cells, nil, 0),
+			owned:   s.part.Owned,
+			cross:   s.part.Boundary,
+			shardOf: s.part.ShardOf,
+		}
+	}
+	return s.win, nil
+}
+
+func (s *ramSource) label(ex *parallel.Pool, coreFlags []bool, labels []int32, cellLabel func(gc int32) int32) {
+	ex.ForGrain(s.cells.NumCells(), 8, func(g int) {
+		lbl := cellLabel(int32(g))
+		for _, i := range s.cells.PointsOf(g) {
+			if coreFlags[i] {
+				labels[i] = lbl
+			} else {
+				labels[i] = -1
+			}
+		}
+	})
+}
+
+// release returns the window's scratch to the arena.
+func (s *ramSource) release() {
+	if s.win != nil {
+		s.win.st.release()
 	}
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
+	"pdbscan/internal/cellstore"
 	"pdbscan/internal/geom"
 	"pdbscan/internal/grid"
 )
@@ -27,60 +29,112 @@ func shardedTestCells(t *testing.T, n, d int, seed int64, eps float64) *grid.Cel
 	return c
 }
 
-// TestRunShardedMatchesRun pins, at the core layer, the tentpole invariant:
-// for every graph strategy, RunSharded over any partition returns exactly
-// Run's result — identical labels, not merely an equivalent partition.
+// TestRunShardedMatchesRun pins, at the core layer, the executor invariant:
+// for every graph strategy, RunSharded over any partition — and RunOutOfCore
+// over a store written from the same cells and partition — returns exactly
+// Run's result: identical labels, not merely an equivalent partition.
+//
+// The uniform layout is dense in cell pairs whose approximate quadtree
+// answer depends on the query direction, so it fails unless every path
+// orients each pair the same way.
 func TestRunShardedMatchesRun(t *testing.T) {
+	type strategy struct {
+		name  string
+		mark  MarkStrategy
+		graph GraphStrategy
+		rho   float64
+	}
+	type layout struct {
+		name       string
+		cells      *grid.Cells
+		minPts     int
+		ks         []int
+		strategies []strategy
+	}
+	var layouts []layout
 	for _, d := range []int{2, 3} {
-		cells := shardedTestCells(t, 1500, d, int64(d)*7, 1.2)
-		strategies := []struct {
-			name  string
-			mark  MarkStrategy
-			graph GraphStrategy
-			rho   float64
-		}{
-			{"scan-bcp", MarkScan, GraphBCP, 0},
-			{"qt-qt", MarkQuadtree, GraphQuadtree, 0},
-			{"scan-approx", MarkScan, GraphApprox, 0.05},
-			{"qt-approx", MarkQuadtree, GraphApprox, 0.3},
+		l := layout{
+			name:   fmt.Sprintf("blobs-%dd", d),
+			cells:  shardedTestCells(t, 1500, d, int64(d)*7, 1.2),
+			minPts: 5,
+			ks:     []int{2, 3, 9},
+			strategies: []strategy{
+				{"scan-bcp", MarkScan, GraphBCP, 0},
+				{"qt-qt", MarkQuadtree, GraphQuadtree, 0},
+				{"scan-approx", MarkScan, GraphApprox, 0.05},
+				{"qt-approx", MarkQuadtree, GraphApprox, 0.3},
+			},
 		}
 		if d == 2 {
-			strategies = append(strategies,
-				struct {
-					name  string
-					mark  MarkStrategy
-					graph GraphStrategy
-					rho   float64
-				}{"scan-usec", MarkScan, GraphUSEC, 0},
-				struct {
-					name  string
-					mark  MarkStrategy
-					graph GraphStrategy
-					rho   float64
-				}{"scan-delaunay", MarkScan, GraphDelaunay, 0},
-			)
+			l.strategies = append(l.strategies,
+				strategy{"scan-usec", MarkScan, GraphUSEC, 0},
+				strategy{"scan-delaunay", MarkScan, GraphDelaunay, 0})
 		}
-		for _, s := range strategies {
-			p := Params{MinPts: 5, Mark: s.mark, Graph: s.graph, Rho: s.rho}
-			want, err := Run(cells, p)
+		layouts = append(layouts, l)
+	}
+	rng := rand.New(rand.NewSource(1))
+	data := make([]float64, 1500*2)
+	for i := range data {
+		data[i] = rng.Float64() * 60
+	}
+	uniform := grid.BuildGrid(nil, geom.Points{N: 1500, D: 2, Data: data}, 1.5)
+	uniform.ComputeNeighborsEnum(nil)
+	layouts = append(layouts, layout{
+		name:   "uniform-2d",
+		cells:  uniform,
+		minPts: 3,
+		ks:     []int{5},
+		strategies: []strategy{
+			{"scan-approx", MarkScan, GraphApprox, 0.5},
+			{"qt-approx", MarkQuadtree, GraphApprox, 0.5},
+		},
+	})
+
+	for _, l := range layouts {
+		for _, s := range l.strategies {
+			p := Params{MinPts: l.minPts, Mark: s.mark, Graph: s.graph, Rho: s.rho}
+			want, err := Run(l.cells, p)
 			if err != nil {
-				t.Fatalf("d=%d %s: Run: %v", d, s.name, err)
+				t.Fatalf("%s %s: Run: %v", l.name, s.name, err)
 			}
-			for _, k := range []int{2, 3, 9} {
-				part, err := grid.MakePartition(nil, cells, k)
+			for _, k := range l.ks {
+				part, err := grid.MakePartition(nil, l.cells, k)
 				if err != nil {
-					t.Fatalf("d=%d %s k=%d: %v", d, s.name, k, err)
+					t.Fatalf("%s %s k=%d: %v", l.name, s.name, k, err)
 				}
-				got, err := RunSharded(cells, p, part)
+				got, err := RunSharded(l.cells, p, part)
 				if err != nil {
-					t.Fatalf("d=%d %s k=%d: RunSharded: %v", d, s.name, k, err)
+					t.Fatalf("%s %s k=%d: RunSharded: %v", l.name, s.name, k, err)
 				}
 				if err := sameResult(got, want); err != nil {
-					t.Fatalf("d=%d %s k=%d: %v", d, s.name, k, err)
+					t.Fatalf("%s %s k=%d: RunSharded: %v", l.name, s.name, k, err)
+				}
+				got, _, err = RunOutOfCore(writeTestStore(t, l.cells, part), p, 0)
+				if err != nil {
+					t.Fatalf("%s %s k=%d: RunOutOfCore: %v", l.name, s.name, k, err)
+				}
+				if err := sameResult(got, want); err != nil {
+					t.Fatalf("%s %s k=%d: RunOutOfCore: %v", l.name, s.name, k, err)
 				}
 			}
 		}
 	}
+}
+
+// writeTestStore writes cells and part as a cell store under the test's
+// temporary directory and opens it; the store closes with the test.
+func writeTestStore(t *testing.T, cells *grid.Cells, part *grid.Partition) *cellstore.Store {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "cells.store")
+	if err := cellstore.Write(path, cells, part); err != nil {
+		t.Fatal(err)
+	}
+	store, err := cellstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return store
 }
 
 // sameResult demands bit-identical results (labels, cores, borders).

@@ -84,7 +84,8 @@ func (c *Clusterer) Close() error {
 
 // ensureMapped makes the whole point payload addressable as c.pts for the
 // in-RAM paths of a store-backed Clusterer. Store order is the layout on
-// disk; results are scattered back to the writer's order by scatterStore.
+// disk; results are scattered back to the writer's order by
+// core.ScatterResult.
 func (c *Clusterer) ensureMapped() error {
 	if c.store == nil || c.pts.Data != nil {
 		return nil
@@ -101,25 +102,4 @@ func (c *Clusterer) ensureMapped() error {
 	c.storeMap = m
 	c.pts.Data = m.Data
 	return nil
-}
-
-// scatterStore re-indexes a store-order result into the writer's original
-// point order through the store's recorded permutation.
-func (c *Clusterer) scatterStore(ex *parallel.Pool, cres *core.Result) {
-	origIdx := c.store.OrigIdx()
-	n := len(cres.Labels)
-	labels := make([]int32, n)
-	coreFlags := make([]bool, n)
-	ex.For(n, func(i int) {
-		oi := origIdx[i]
-		labels[oi] = cres.Labels[i]
-		coreFlags[oi] = cres.Core[i]
-	})
-	border := make(map[int32][]int32, len(cres.Border))
-	for p, ls := range cres.Border {
-		border[int32(origIdx[p])] = ls
-	}
-	cres.Labels = labels
-	cres.Core = coreFlags
-	cres.Border = border
 }
