@@ -265,13 +265,7 @@ func (c *Clusterer) buildCells(useBox bool, ex *parallel.Pool) *grid.Cells {
 		return cells
 	}
 	cells := grid.BuildGrid(ex, c.pts, c.eps)
-	// Offset enumeration is cheap in low dimensions; the k-d tree wins once
-	// (2*ceil(sqrt(d))+1)^d explodes (Section 5.1).
-	if c.pts.D <= 3 {
-		cells.ComputeNeighborsEnum(ex)
-	} else {
-		cells.ComputeNeighborsKD(ex)
-	}
+	cells.ComputeNeighbors(ex, nil)
 	return cells
 }
 

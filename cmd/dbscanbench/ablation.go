@@ -53,11 +53,7 @@ func expAblation(o options) {
 	} {
 		pts := loadDataset(cfg.name, o.n, o.seed)
 		cells := grid.BuildGrid(parallel.Default(), pts, cfg.eps)
-		if pts.D <= 3 {
-			cells.ComputeNeighborsEnum(parallel.Default())
-		} else {
-			cells.ComputeNeighborsKD(parallel.Default())
-		}
+		cells.ComputeNeighbors(parallel.Default(), nil)
 		times := map[core.MarkStrategy]time.Duration{}
 		for _, mark := range []core.MarkStrategy{core.MarkScan, core.MarkQuadtree} {
 			start := time.Now()

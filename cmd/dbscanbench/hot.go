@@ -86,11 +86,7 @@ func expHot(o options) {
 			shuffleRows(pts, uint64(o.seed))
 			eps := hotEps(hc.d)
 			cells = grid.BuildGrid(ex, pts, eps)
-			if pts.D <= 3 {
-				cells.ComputeNeighborsEnum(ex)
-			} else {
-				cells.ComputeNeighborsKD(ex)
-			}
+			cells.ComputeNeighbors(ex, nil)
 			cellCache[key] = cells
 		}
 

@@ -116,11 +116,7 @@ func PDSDBSCAN(ex *parallel.Pool, pts geom.Points, eps float64, minPts int) *Res
 // a shared union-find in shared memory).
 func HPDBSCAN(ex *parallel.Pool, pts geom.Points, eps float64, minPts int) *Result {
 	cells := grid.BuildGrid(ex, pts, eps)
-	if pts.D <= 3 {
-		cells.ComputeNeighborsEnum(ex)
-	} else {
-		cells.ComputeNeighborsKD(ex)
-	}
+	cells.ComputeNeighbors(ex, nil)
 	n := pts.N
 	eps2 := eps * eps
 	k := geom.NewKernel(pts)

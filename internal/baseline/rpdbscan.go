@@ -31,11 +31,7 @@ func RPDBSCANSim(ex *parallel.Pool, pts geom.Points, eps float64, minPts int, pa
 		parts = 1
 	}
 	cells := grid.BuildGrid(ex, pts, eps)
-	if pts.D <= 3 {
-		cells.ComputeNeighborsEnum(ex)
-	} else {
-		cells.ComputeNeighborsKD(ex)
-	}
+	cells.ComputeNeighbors(ex, nil)
 	numCells := cells.NumCells()
 	eps2 := eps * eps
 

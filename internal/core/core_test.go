@@ -42,11 +42,7 @@ func clusteredPoints(n, d int, scale float64, seed int64) geom.Points {
 // buildGridCells builds grid cells with the right neighbor method for d.
 func buildGridCells(pts geom.Points, eps float64) *grid.Cells {
 	c := grid.BuildGrid(nil, pts, eps)
-	if pts.D <= 3 {
-		c.ComputeNeighborsEnum(nil)
-	} else {
-		c.ComputeNeighborsKD(nil)
-	}
+	c.ComputeNeighbors(nil, nil)
 	return c
 }
 

@@ -95,6 +95,12 @@ func (s *storeSource) windows() int { return s.store.NumShards() }
 // semisort, no coordinate hashing, and the pipeline's payload aliases the
 // mapping itself (zero copy against the residency budget). Local cell ids
 // are store order from the window's first cell.
+//
+// A window builds the cell table and boxes over every window cell — halo
+// cells are the targets of neighbor lookups, core scans and pair tests — and
+// neighbor lists for the owned cells only: every executor step walks
+// Neighbors[g] from an owned g, and owned-only lists keep each cell's list
+// to one build per sweep.
 func (s *storeSource) open(r *shardRun, sh int, border bool) (*shardWindow, error) {
 	store := s.store
 	wlo, whi := store.Window(sh)
@@ -146,11 +152,7 @@ func (s *storeSource) open(r *shardRun, sh int, border bool) (*shardWindow, erro
 
 	ex := r.p.Exec
 	cells := grid.BuildCellMajor(ex, pts, store.Eps(), cellStart, abs)
-	if d <= 3 {
-		cells.ComputeNeighborsEnum(ex)
-	} else {
-		cells.ComputeNeighborsKD(ex)
-	}
+	cells.ComputeNeighbors(ex, owned)
 	st := r.window(cells, global, m.PointLo)
 	w := &shardWindow{
 		st:        st,

@@ -4,15 +4,17 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"pdbscan/internal/cellstore"
 	"pdbscan/internal/geom"
 	"pdbscan/internal/grid"
+	"pdbscan/internal/unionfind"
 )
 
-// shardedTestCells builds grid cells with neighbors for random clustered 2D/3D
-// points.
+// shardedTestCells builds grid cells with neighbors for random clustered
+// points in d dimensions.
 func shardedTestCells(t *testing.T, n, d int, seed int64, eps float64) *grid.Cells {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -25,7 +27,7 @@ func shardedTestCells(t *testing.T, n, d int, seed int64, eps float64) *grid.Cel
 	}
 	pts := geom.Points{N: n, D: d, Data: data}
 	c := grid.BuildGrid(nil, pts, eps)
-	c.ComputeNeighborsEnum(nil)
+	c.ComputeNeighbors(nil, nil)
 	return c
 }
 
@@ -117,6 +119,63 @@ func TestRunShardedMatchesRun(t *testing.T) {
 					t.Fatalf("%s %s k=%d: RunOutOfCore: %v", l.name, s.name, k, err)
 				}
 			}
+		}
+	}
+}
+
+// TestStoreWindowNeighbors pins what a store window builds: in every window
+// of both sweeps, each owned cell's neighbor list, mapped through the
+// window's global ids, is the writer's list for that cell, and no halo cell
+// has a list at all. The 5D layout takes the k-d branch.
+func TestStoreWindowNeighbors(t *testing.T) {
+	for _, l := range []struct {
+		d   int
+		eps float64
+	}{{2, 1.2}, {5, 2.5}} {
+		cells := shardedTestCells(t, 1500, l.d, int64(l.d)*7, l.eps)
+		part, err := grid.MakePartition(nil, cells, 5)
+		if err != nil {
+			t.Fatalf("d=%d: %v", l.d, err)
+		}
+		store := writeTestStore(t, cells, part)
+		src := &storeSource{store: store}
+		r := &shardRun{p: Params{MinPts: 5}, uf: unionfind.New(store.NumCells()), coreFlags: make([]bool, store.NumPoints())}
+		halo, refs := 0, 0
+		for _, border := range []bool{false, true} {
+			for sh := range src.windows() {
+				w, err := src.open(r, sh, border)
+				if err != nil {
+					t.Fatalf("d=%d shard %d: %v", l.d, sh, err)
+				}
+				owned := make(map[int32]bool)
+				for _, g := range w.owned[0] {
+					owned[g] = true
+				}
+				global, nbrs := w.st.global, w.st.cells.Neighbors
+				for g := range nbrs {
+					if !owned[int32(g)] {
+						halo++
+						if nbrs[g] != nil {
+							t.Fatalf("d=%d shard %d: halo cell %d has a neighbor list", l.d, sh, g)
+						}
+						continue
+					}
+					want := cells.Neighbors[global[g]]
+					got := make([]int32, len(nbrs[g]))
+					for i, h := range nbrs[g] {
+						got[i] = global[h]
+					}
+					slices.Sort(got)
+					if !slices.Equal(got, want) {
+						t.Fatalf("d=%d shard %d: cell %d (global %d) has neighbors %v, writer has %v", l.d, sh, g, global[g], nbrs[g], want)
+					}
+					refs += len(want)
+				}
+				w.close()
+			}
+		}
+		if halo == 0 || refs == 0 {
+			t.Fatalf("d=%d: degenerate layout (%d halo cells, %d neighbor refs)", l.d, halo, refs)
 		}
 	}
 }

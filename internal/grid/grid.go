@@ -57,7 +57,8 @@ type Cells struct {
 
 	// Neighbors[g] lists the cells that could contain points within eps of
 	// cell g (excluding g itself), in increasing index order. Filled by one
-	// of the ComputeNeighbors* methods.
+	// of the ComputeNeighbors* methods; a partial fill (ComputeNeighbors
+	// over a cell list) leaves every unlisted cell's entry nil.
 	Neighbors [][]int32
 
 	// Payload is the cell-major copy of the point coordinates: payload row r
@@ -546,19 +547,47 @@ func (c *Cells) enumNeighborsOf(abs []int64, exclude int32) []int32 {
 	return nbrs
 }
 
+// ComputeNeighbors fills Neighbors for the listed cells (nil: every cell)
+// and leaves every other entry nil. Lookups still range over every cell, so
+// a listed cell's list is the one a full fill would give it. Only valid for
+// the grid construction.
+func (c *Cells) ComputeNeighbors(ex *parallel.Pool, cells []int32) {
+	// Offset enumeration is cheap in low dimensions; the k-d tree wins once
+	// (2*ceil(sqrt(d))+1)^d explodes (Section 5.1).
+	c.fillNeighbors(ex, cells, c.Pts.D > 3)
+}
+
 // ComputeNeighborsEnum fills Neighbors by offset enumeration — the
 // constant-work-per-cell method the 2D algorithms use (Section 4.1). Only
 // valid for the grid construction.
-func (c *Cells) ComputeNeighborsEnum(ex *parallel.Pool) {
+func (c *Cells) ComputeNeighborsEnum(ex *parallel.Pool) { c.fillNeighbors(ex, nil, false) }
+
+// fillNeighbors fills Neighbors for the listed cells (nil: every cell), by
+// offset enumeration or, with kd, by queries to a k-d tree over every
+// cell's center.
+func (c *Cells) fillNeighbors(ex *parallel.Pool, cells []int32, kd bool) {
 	d := c.Pts.D
 	numCells := c.NumCells()
+	of := c.enumNeighborsOf
+	if kd {
+		tree, _ := c.cellCenterTree(ex)
+		of = func(abs []int64, exclude int32) []int32 { return c.kdNeighborsOf(tree, nil, abs, exclude) }
+	}
+	m := numCells
+	if cells != nil {
+		m = len(cells)
+	}
 	c.Neighbors = make([][]int32, numCells)
-	ex.ForGrain(numCells, 1, func(g int) {
+	ex.ForGrain(m, 1, func(i int) {
+		g := i
+		if cells != nil {
+			g = int(cells[i])
+		}
 		abs := make([]int64, d)
 		for j := 0; j < d; j++ {
 			abs[j] = c.AbsCoord(g, j)
 		}
-		c.Neighbors[g] = c.enumNeighborsOf(abs, int32(g))
+		c.Neighbors[g] = of(abs, int32(g))
 	})
 }
 
@@ -619,19 +648,7 @@ func (c *Cells) kdNeighborsOf(tree *kdtree.Tree, slotOf []int32, abs []int64, ex
 // centers (Section 5.1), which avoids enumerating the exponentially many
 // candidate offsets in higher dimensions. Only valid for the grid
 // construction.
-func (c *Cells) ComputeNeighborsKD(ex *parallel.Pool) {
-	d := c.Pts.D
-	numCells := c.NumCells()
-	tree, _ := c.cellCenterTree(ex)
-	c.Neighbors = make([][]int32, numCells)
-	ex.ForGrain(numCells, 1, func(g int) {
-		abs := make([]int64, d)
-		for j := 0; j < d; j++ {
-			abs[j] = c.AbsCoord(g, j)
-		}
-		c.Neighbors[g] = c.kdNeighborsOf(tree, nil, abs, int32(g))
-	})
-}
+func (c *Cells) ComputeNeighborsKD(ex *parallel.Pool) { c.fillNeighbors(ex, nil, true) }
 
 // absCubeInto writes the cube of the cell at absolute lattice coordinates
 // abs. Computed from the absolute coordinate so every build (and the

@@ -48,7 +48,7 @@ func storeMethodsFor(d int) []struct {
 // path and the out-of-core Spill path, across every method and several shard
 // layouts — must reproduce the writing Clusterer's results.
 func TestStoreRoundTripConformance(t *testing.T) {
-	for _, d := range []int{2, 3} {
+	for _, d := range []int{2, 3, 5} {
 		rows := blobs(1200, d, 11)
 		eps := 3.0
 		ref, err := NewClusterer(rows, eps)
