@@ -162,18 +162,6 @@ func fmtSpeedup(base, d time.Duration) string {
 	return fmt.Sprintf("%.2fx", base.Seconds()/d.Seconds())
 }
 
-// effectiveThreads resolves the -threads flag to the worker count actually
-// used: 0 means "all", i.e. GOMAXPROCS. Reports must record this resolved
-// count, never the raw flag — a recorded 0 makes the JSON metadata claim a
-// thread count that does not exist, and benchgate refuses to compare
-// baselines whose thread metadata disagrees.
-func effectiveThreads(threads int) int {
-	if threads <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return threads
-}
-
 // threadSweep returns the thread counts for scaling experiments on this
 // machine: 1, 2, 4, ... up to NumCPU.
 func threadSweep() []int {

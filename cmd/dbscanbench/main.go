@@ -1,7 +1,7 @@
 // Command dbscanbench regenerates every table and figure of the paper's
 // evaluation (Section 7) at laptop scale. Each experiment prints the same
-// rows/series the paper reports; EXPERIMENTS.md records the paper-vs-measured
-// comparison of the shapes.
+// rows/series the paper reports. The repo's tracked performance benchmark is
+// perfbench (BENCHMARK.json), not this command.
 //
 // Usage:
 //
@@ -20,11 +20,10 @@ import (
 )
 
 type options struct {
-	n        int
-	seed     int64
-	threads  int // 0 = all
-	full     bool
-	jsonPath string // stream/shard experiments: write BENCH_*.json here
+	n       int
+	seed    int64
+	threads int // 0 = all
+	full    bool
 }
 
 var experiments = map[string]struct {
@@ -41,14 +40,6 @@ var experiments = map[string]struct {
 	"table2":   {"large-scale datasets vs RP-DBSCAN-style comparator (Table 2)", expTable2},
 	"ablation": {"design-choice ablations: neighbor finding, MarkCore strategy, bucketing batches", expAblation},
 	"verify":   {"cross-variant agreement at scale (all exact variants identical)", expVerify},
-	"stream":   {"sliding-window streaming ticks: incremental vs from-scratch (-json records BENCH_stream.json)", expStream},
-	"shard":    {"sharded partition/merge path vs monolithic (-json records BENCH_shard.json)", expShard},
-	"hot":      {"clustering-phase hot path: steady-state ns/op and allocs/op per method (-json records BENCH_hot.json)", expHot},
-	"scale":    {"multi-core scaling per method (monolithic + sharded) and sampled-core DBSCAN++ accuracy/speedup (-json records BENCH_scale.json)", expScale},
-	"serve":    {"serving path: cancellation latency mid-run + Engine throughput under mixed jobs (-json records BENCH_serve.json)", expServe},
-	"emst":     {"EMST-backed hierarchy: one build amortized over a 16-eps sweep vs independent runs (-json records BENCH_emst.json)", expEmst},
-	"api":      {"HTTP serving layer under hundreds of concurrent mixed sessions (-json records BENCH_api.json)", expAPI},
-	"ooc":      {"out-of-core spill run vs in-RAM at a dataset 4x the residency budget (-json records BENCH_ooc.json)", expOoc},
 }
 
 func main() {
@@ -58,7 +49,6 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 1, "dataset generation seed")
 	flag.IntVar(&o.threads, "threads", 0, "thread count for non-scaling experiments (0 = all)")
 	flag.BoolVar(&o.full, "full", false, "run all 11 datasets in fig6/7/8 instead of the default subset")
-	flag.StringVar(&o.jsonPath, "json", "", "stream/shard experiments: write the machine-readable report to this file (e.g. BENCH_stream.json, BENCH_shard.json)")
 	flag.Parse()
 
 	if *exp == "" {

@@ -78,8 +78,7 @@ func (st *pipeline) markCellCore(g int, ws *workerScratch) {
 		// In 2D/3D the box prepass is a handful of specialized compares per
 		// neighbor; it also pays on longer lists when the cell has enough
 		// points to amortize it. In higher dimensions the generic prepass
-		// only pays on short lists (the fallback preserves the seed's cost
-		// shape there — measured in BENCH_hot.json's d=5 rows).
+		// only pays on short lists, so longer ones take the fallback.
 		ordered = len(nbrs) <= 8*size
 	}
 	if !ordered {

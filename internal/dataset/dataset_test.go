@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"pdbscan/internal/geom"
@@ -207,28 +209,61 @@ func TestCSVErrors(t *testing.T) {
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
-	pts := SeedSpreader(SeedSpreaderConfig{N: 1000, D: 5, Seed: 11})
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, pts); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N != pts.N || got.D != pts.D {
-		t.Fatalf("round trip: N=%d D=%d", got.N, got.D)
-	}
-	for i := range pts.Data {
-		if got.Data[i] != pts.Data[i] {
-			t.Fatal("binary round trip corrupted data")
+	// The second size is past ReadBinary's initial capacity, so the data
+	// slice has to grow while the body is read.
+	for _, size := range []struct{ n, d int }{{1000, 5}, {30000, 3}} {
+		pts := SeedSpreader(SeedSpreaderConfig{N: size.n, D: size.d, Seed: 11})
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, pts); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadBinary(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.N != pts.N || got.D != pts.D || len(got.Data) != len(pts.Data) {
+			t.Fatalf("round trip: N=%d D=%d len=%d", got.N, got.D, len(got.Data))
+		}
+		for i := range pts.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(pts.Data[i]) {
+				t.Fatalf("n=%d d=%d: binary round trip corrupted value %d", size.n, size.d, i)
+			}
 		}
 	}
 }
 
+// TestBinaryBadMagic feeds ReadBinary bad input: a wrong magic, and valid
+// headers that claim far more points than the 64 data bytes that follow.
+// Each must fail with an error, not a panic, and must not allocate what the
+// header claims.
 func TestBinaryBadMagic(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewBufferString("NOTMAGIC-------")); err == nil {
-		t.Fatal("expected error for bad magic")
+	header := func(n, d uint64) []byte {
+		b := append([]byte{}, binMagic[:]...)
+		b = binary.LittleEndian.AppendUint64(b, n)
+		b = binary.LittleEndian.AppendUint64(b, d)
+		return append(b, make([]byte, 64)...)
+	}
+	for _, tc := range []struct {
+		name string
+		in   []byte
+	}{
+		{"bad magic", []byte("NOTMAGIC-------")},
+		{"n=2^40 d=2^16", header(1<<40, 1<<16)},
+		{"n=2^33 d=2", header(1<<33, 2)},
+		{"n=1e8 d=2", header(1e8, 2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ReadBinary(bytes.NewReader(tc.in))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("expected an error")
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+				t.Fatalf("allocated %d bytes for a %d-byte input", alloc, len(tc.in))
+			}
+		})
 	}
 }
 

@@ -122,20 +122,27 @@ func ReadBinary(r io.Reader) (geom.Points, error) {
 	if n <= 0 || d <= 0 || n > 1<<40 || d > 1<<16 {
 		return geom.Points{}, fmt.Errorf("dataset: implausible header n=%d d=%d", n, d)
 	}
-	data := make([]float64, n*d)
+	// The header is untrusted, so data grows (doubling, capped at n*d) as
+	// chunks arrive instead of being allocated up front: a short body fails
+	// with io.ErrUnexpectedEOF having allocated about what it read.
+	total := n * d
+	data := make([]float64, 0, min(total, 1<<16))
 	buf := make([]byte, 8*4096)
-	idx := 0
-	for idx < len(data) {
-		want := (len(data) - idx) * 8
-		if want > len(buf) {
-			want = len(buf)
-		}
-		if _, err := io.ReadFull(br, buf[:want]); err != nil {
+	for len(data) < total {
+		k := min(total-len(data), len(buf)/8)
+		if _, err := io.ReadFull(br, buf[:8*k]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return geom.Points{}, err
 		}
-		for o := 0; o < want; o += 8 {
-			data[idx] = math.Float64frombits(binary.LittleEndian.Uint64(buf[o:]))
-			idx++
+		if len(data)+k > cap(data) {
+			grown := make([]float64, len(data), min(total, 2*cap(data)))
+			copy(grown, data)
+			data = grown
+		}
+		for o := 0; o < 8*k; o += 8 {
+			data = append(data, math.Float64frombits(binary.LittleEndian.Uint64(buf[o:])))
 		}
 	}
 	return geom.Points{N: n, D: d, Data: data}, nil

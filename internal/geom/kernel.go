@@ -34,9 +34,8 @@ func NewKernel(pts Points) Kernel {
 }
 
 // NewGenericKernel resolves the generic-D kernel regardless of
-// dimensionality. It exists for benchmarking (cmd/dbscanbench -exp hot
-// measures specialization against it) and for the equivalence tests; results
-// are bit-identical to NewKernel's.
+// dimensionality. It is the reference the kernel equivalence tests check the
+// specialized kernels against; results are bit-identical to NewKernel's.
 func NewGenericKernel(pts Points) Kernel {
 	return Kernel{dims: 0, d: pts.D, data: pts.Data}
 }

@@ -212,31 +212,36 @@ func TestSampledDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSampledQuality runs the DBSCAN++ trade-off on a varden workload:
-// sampling a tenth of the points must preserve the clustering structure
-// (ARI and NMI vs the exact run well above chance).
+// TestSampledQuality runs the DBSCAN++ trade-off on the varden workloads in
+// 2D and 3D: sampling a tenth of the points must keep ARI >= 0.95 and NMI >=
+// 0.9 against the exact run, for both samplers.
 func TestSampledQuality(t *testing.T) {
-	pts := dataset.SeedSpreader(dataset.SeedSpreaderConfig{N: 20000, D: 2, VarDen: true, Seed: 1})
-	c, err := NewClustererFlat(pts.Data, pts.D, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := c.Run(Config{MinPts: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sampler := range []Sampler{SamplerUniform, SamplerKCenter} {
-		res, err := c.Run(Config{MinPts: 100, Sampler: sampler, SampleFrac: 0.1, SampleSeed: 5})
+	for _, tc := range []struct {
+		d   int
+		eps float64
+	}{{2, 1000}, {3, 2000}} {
+		pts := dataset.SeedSpreader(dataset.SeedSpreaderConfig{N: 20000, D: tc.d, VarDen: true, Seed: 1})
+		c, err := NewClustererFlat(pts.Data, pts.D, tc.eps)
 		if err != nil {
-			t.Fatalf("%s: %v", sampler, err)
+			t.Fatal(err)
 		}
-		ari := metrics.AdjustedRandIndex(exact.Labels, res.Labels)
-		nmi := metrics.NormalizedMutualInfo(exact.Labels, res.Labels)
-		if ari < 0.9 {
-			t.Errorf("%s: ARI %.3f vs exact, want >= 0.9", sampler, ari)
+		exact, err := c.Run(Config{MinPts: 100})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if nmi < 0.9 {
-			t.Errorf("%s: NMI %.3f vs exact, want >= 0.9", sampler, nmi)
+		for _, sampler := range []Sampler{SamplerUniform, SamplerKCenter} {
+			res, err := c.Run(Config{MinPts: 100, Sampler: sampler, SampleFrac: 0.1, SampleSeed: 5})
+			if err != nil {
+				t.Fatalf("d=%d %s: %v", tc.d, sampler, err)
+			}
+			ari := metrics.AdjustedRandIndex(exact.Labels, res.Labels)
+			nmi := metrics.NormalizedMutualInfo(exact.Labels, res.Labels)
+			if ari < 0.95 {
+				t.Errorf("d=%d %s: ARI %.4f vs exact, want >= 0.95", tc.d, sampler, ari)
+			}
+			if nmi < 0.9 {
+				t.Errorf("d=%d %s: NMI %.4f vs exact, want >= 0.9", tc.d, sampler, nmi)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -469,6 +471,127 @@ func TestConcurrentSessions(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestOverloadBackpressure drives a volley of wait-runs from 24 sessions
+// into a 1-worker engine with a 4-slot queue. Overload must surface only as
+// 429/503 with Retry-After: every run still completes once retried, the
+// engine never exceeds its worker budget, and the server drains and shuts
+// down cleanly afterwards.
+func TestOverloadBackpressure(t *testing.T) {
+	srv := New(Options{Engine: engine.Options{Budget: 1, MaxQueue: 4}})
+	defer srv.Close()
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	const sessions = 24
+	// Keep one idle connection per session, so retries reuse connections
+	// instead of dialing (and waiting out SYN retransmits) under the volley.
+	c := hs.Client()
+	c.Transport.(*http.Transport).MaxIdleConnsPerHost = sessions
+
+	// post sends one JSON request, retrying 429/503 after a short pause (not
+	// the whole-second Retry-After, to keep the test fast) and counting them.
+	var resp429, missingRetry atomic.Int64
+	post := func(path string, body, out any) error {
+		payload, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		for attempt := 0; attempt < 5000; attempt++ {
+			resp, err := c.Post(hs.URL+path, "application/json", bytes.NewReader(payload))
+			if err != nil {
+				return err
+			}
+			var buf bytes.Buffer
+			_, err = buf.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				return err
+			}
+			switch resp.StatusCode {
+			case http.StatusOK, http.StatusCreated:
+				return json.Unmarshal(buf.Bytes(), out)
+			case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+				if resp.StatusCode == http.StatusTooManyRequests {
+					resp429.Add(1)
+				}
+				if resp.Header.Get("Retry-After") == "" {
+					missingRetry.Add(1)
+				}
+				time.Sleep(2 * time.Millisecond)
+			default:
+				return fmt.Errorf("POST %s: status %d: %s", path, resp.StatusCode, bytes.TrimSpace(buf.Bytes()))
+			}
+		}
+		return fmt.Errorf("POST %s: still rejected after 5000 attempts", path)
+	}
+
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		tick := time.NewTicker(200 * time.Microsecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+			if st := srv.Engine().Stats(); st.WorkersInUse > st.Budget {
+				t.Errorf("engine stats: %d workers in use, budget %d", st.WorkersInUse, st.Budget)
+			}
+		}
+	}()
+
+	// Every session is created before any run is sent, so the runs arrive
+	// as one volley against the 5 admission slots (1 running + 4 queued).
+	var wg, created sync.WaitGroup
+	created.Add(sessions)
+	gate := make(chan struct{})
+	for i := 0; i < sessions; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var info SessionInfo
+			err := post("/v1/sessions", CreateSessionRequest{Kind: "batch", Eps: 3, Points: genPoints(2000, int64(100+i))}, &info)
+			created.Done()
+			<-gate
+			if err != nil {
+				t.Errorf("session %d: create: %v", i, err)
+				return
+			}
+			for _, mp := range []int{5, 10} {
+				var st RunStatus
+				if err := post("/v1/sessions/"+info.ID+"/runs",
+					SubmitRunRequest{Config: ConfigJSON{MinPts: mp}, Wait: true}, &st); err != nil {
+					t.Errorf("session %d minPts %d: %v", i, mp, err)
+					return
+				}
+				if st.State != "done" {
+					t.Errorf("session %d minPts %d: run state %q (%s)", i, mp, st.State, st.Error)
+				}
+			}
+		}(i)
+	}
+	created.Wait()
+	close(gate)
+	wg.Wait()
+	close(stop)
+	<-sampled
+
+	if n := missingRetry.Load(); n > 0 {
+		t.Errorf("%d 429/503 responses without Retry-After", n)
+	}
+	if resp429.Load() == 0 {
+		t.Error("no 429 under a 24-run volley against 5 admission slots")
+	}
+	srv.Drain()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := hs.Config.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown after drain: %v", err)
+	}
+	t.Logf("%d 429s", resp429.Load())
 }
 
 var metricRe = regexp.MustCompile(`(?m)^(\w+)(?:\{[^}]*\})? ([0-9.e+-]+)$`)

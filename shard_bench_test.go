@@ -14,9 +14,6 @@ import (
 // replaces the barrier-separated parallel loops of the monolithic pipeline;
 // the gap widens with core count (on a single-core runner the two are at
 // parity, the partition/merge overhead being within noise).
-//
-// cmd/dbscanbench -exp shard runs the same comparison standalone and records
-// it in BENCH_shard.json.
 func BenchmarkSharded(b *testing.B) {
 	n := 1_000_000
 	if testing.Short() {

@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pdbscan/internal/dataset"
 )
 
 // storeMethodsFor lists every clustering method applicable at dimension d,
@@ -142,6 +144,44 @@ func TestStoreSpillBudget(t *testing.T) {
 	}
 	if st := sc.LastRunStats(); st.PeakResidentBytes > budget {
 		t.Fatalf("peak resident %d exceeds budget %d", st.PeakResidentBytes, budget)
+	}
+
+	// Quarter budget: the dataset is 4x MaxResidentBytes, so the run has to
+	// sweep windows, and each must fit the budget (open refuses a larger
+	// one) while the labels stay those of the in-RAM run. At 8 shards one
+	// window here needs more than the budget, so keep 16.
+	pts, err := dataset.Generate("uniform-2d", 20000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ram, err := NewClustererFlat(pts.Data, pts.D, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ram.Run(Config{Eps: 2, MinPts: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path = filepath.Join(t.TempDir(), "quarter.cells")
+	if err := ram.WriteStore(path, 16); err != nil {
+		t.Fatal(err)
+	}
+	qc, err := OpenStoreClusterer(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer qc.Close()
+	quarter := int64(len(pts.Data)) * 8 / 4
+	got, err := qc.Run(Config{Eps: 2, MinPts: 10, Spill: true, MaxResidentBytes: quarter})
+	if err != nil {
+		t.Fatalf("quarter budget: %v", err)
+	}
+	if err := labelsEqual(want, got); err != nil {
+		t.Fatalf("quarter budget: spill run differs from in-RAM: %v", err)
+	}
+	if st := qc.LastRunStats(); st.PeakResidentBytes > quarter || st.ShardsResidentPeak >= 16 {
+		t.Fatalf("quarter budget: peak resident %d of %d bytes, %d of 16 shards resident",
+			st.PeakResidentBytes, quarter, st.ShardsResidentPeak)
 	}
 }
 

@@ -2,8 +2,8 @@
 // window over a generated point stream where each tick evicts the oldest
 // batch, inserts a fresh one, and re-clusters. The incremental path
 // (StreamingClusterer.Run) is compared against from-scratch re-clustering of
-// the same window; cmd/dbscanbench's stream experiment records the same
-// comparison into BENCH_stream.json.
+// the same window. The end-to-end streaming workload is perfbench's
+// stream-2d.
 package pdbscan
 
 import (
