@@ -14,8 +14,10 @@
 //   - engine.ErrQueueTimeout and context.DeadlineExceeded -> 504 Gateway
 //     Timeout (the job's deadline — from the request's deadline_ms — or the
 //     engine's queue-wait bound expired)
-//   - validation errors (bad JSON, bad Config, unknown method, eps mismatch)
-//     -> 400 Bad Request, rejected before the job occupies any queue slot
+//   - validation errors (bad JSON, unknown fields, trailing data, null or
+//     ragged point rows, bad Config, unknown method, eps mismatch) -> 400
+//     Bad Request, rejected before the job occupies any queue slot
+//   - a body over Options.MaxBodyBytes -> 413 Request Entity Too Large
 //   - engine.ErrClosed and draining -> 503 Service Unavailable, with
 //     Retry-After (graceful shutdown: this replica is going away)
 //
@@ -57,6 +59,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"sync"
@@ -410,14 +413,30 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // decodeJSON strictly decodes the request body into v (unknown fields are a
 // 400 — a typoed field silently ignored is a config that did not do what the
-// client asked).
+// client asked — and so is anything but whitespace after the value).
 func decodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("trailing data after the JSON value")
+		}
+		return fmt.Errorf("bad request body: %w", err)
+	}
 	return nil
+}
+
+// bodyStatus maps a request-body error to its status: 413 when the body
+// outgrew MaxBodyBytes, 400 otherwise.
+func bodyStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // ----------------------------------------------------------------- sessions
@@ -428,15 +447,16 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CreateSessionRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	pts, err := s.readPoints(r, &req)
+	if err != nil {
+		s.writeError(w, bodyStatus(err), err)
 		return
 	}
 
 	sess := &session{kind: req.Kind, eps: req.Eps, created: time.Now(), runs: make(map[string]*run)}
 	switch req.Kind {
 	case "batch":
-		c, err := pdbscan.NewClusterer(req.Points, req.Eps)
+		c, err := newClusterer(pts, req.Eps)
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, err)
 			return
@@ -445,24 +465,22 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		sess.dims = c.Dims()
 	case "streaming":
 		dims := req.Dims
-		if dims == 0 && len(req.Points) > 0 {
-			dims = len(req.Points[0])
+		if dims == 0 && pts.n > 0 {
+			dims = pts.dims
 		}
 		sc, err := pdbscan.NewStreamingClusterer(dims, req.Eps)
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		if len(req.Points) > 0 {
-			if _, err := sc.Insert(req.Points); err != nil {
-				s.writeError(w, http.StatusBadRequest, err)
-				return
-			}
+		if _, err := insertPoints(sc, pts); err != nil {
+			s.writeError(w, http.StatusBadRequest, err)
+			return
 		}
 		sess.streaming = sc
 		sess.dims = dims
 	case "hierarchy":
-		c, err := pdbscan.NewClusterer(req.Points, req.Eps)
+		c, err := newClusterer(pts, req.Eps)
 		if err != nil {
 			s.writeError(w, http.StatusBadRequest, err)
 			return
@@ -505,6 +523,28 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	writeJSON(w, http.StatusCreated, s.infoOf(sess))
+}
+
+// newClusterer builds a batch or hierarchy session's Clusterer, which keeps
+// the request's flat points without copying them.
+func newClusterer(pts flatPoints, eps float64) (*pdbscan.Clusterer, error) {
+	if pts.n == 0 {
+		return nil, errors.New("batch and hierarchy sessions need points")
+	}
+	return pdbscan.NewClustererFlat(pts.data, pts.dims, eps)
+}
+
+// insertPoints inserts a request's points into a streaming session. Rows
+// must have the session's dims: InsertFlat alone would re-chunk the flat
+// coordinates into rows of its own length.
+func insertPoints(sc *pdbscan.StreamingClusterer, pts flatPoints) ([]int64, error) {
+	if pts.n == 0 {
+		return []int64{}, nil
+	}
+	if pts.dims != sc.Dims() {
+		return nil, fmt.Errorf("points rows have %d coords, want %d", pts.dims, sc.Dims())
+	}
+	return sc.InsertFlat(pts.data)
 }
 
 func (s *Server) infoOf(sess *session) SessionInfo {
@@ -611,12 +651,12 @@ func (s *Server) handleInsertPoints(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	var req InsertPointsRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+	pts, err := s.readPoints(r, &InsertPointsRequest{})
+	if err != nil {
+		s.writeError(w, bodyStatus(err), err)
 		return
 	}
-	ids, err := sess.streaming.Insert(req.Points)
+	ids, err := insertPoints(sess.streaming, pts)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
@@ -635,7 +675,7 @@ func (s *Server) handleRemovePoints(w http.ResponseWriter, r *http.Request) {
 	}
 	var req RemovePointsRequest
 	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, bodyStatus(err), err)
 		return
 	}
 	if err := sess.streaming.Remove(req.IDs...); err != nil {
@@ -656,7 +696,7 @@ func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
 	}
 	var req WindowRequest
 	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, bodyStatus(err), err)
 		return
 	}
 	evicted := sess.streaming.Window(req.N)
@@ -679,7 +719,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	}
 	var req SubmitRunRequest
 	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, bodyStatus(err), err)
 		return
 	}
 	cfg := req.Config.toConfig()

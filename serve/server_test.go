@@ -55,22 +55,20 @@ func newTestServer(t *testing.T, opts Options) (*Server, *tclient, func()) {
 	}
 }
 
-// do issues one request; body is JSON-encoded if non-nil, and the response
-// body is decoded into out if non-nil and decodable. Returns the response
-// (body already consumed).
+// do issues one request; body is sent as is if it is a []byte and
+// JSON-encoded if it is anything else non-nil, and the response body is
+// decoded into out if non-nil and decodable. Returns the response (body
+// already consumed).
 func (tc *tclient) do(method, path string, body any, out any) *http.Response {
 	tc.t.Helper()
-	var rd *bytes.Reader
-	if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
+	raw, isRaw := body.([]byte)
+	if !isRaw && body != nil {
+		var err error
+		if raw, err = json.Marshal(body); err != nil {
 			tc.t.Fatalf("marshal: %v", err)
 		}
-		rd = bytes.NewReader(b)
-	} else {
-		rd = bytes.NewReader(nil)
 	}
-	req, err := http.NewRequest(method, tc.base+path, rd)
+	req, err := http.NewRequest(method, tc.base+path, bytes.NewReader(raw))
 	if err != nil {
 		tc.t.Fatalf("NewRequest: %v", err)
 	}
