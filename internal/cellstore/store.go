@@ -4,16 +4,16 @@
 // dataset in RAM (the out-of-core mode of core.RunOutOfCore), and so that a
 // server can snapshot streaming state across restarts.
 //
-// # Layout (version 1, all integers little-endian)
+// # Layout (version 2, all integers little-endian)
 //
 //	offset  size
 //	0       8      magic "PDBSCEL1"
-//	8       4      version (uint32, = 1)
+//	8       4      version (uint32, = 2)
 //	12      4      dims (uint32)
 //	16      8      numPoints n (uint64)
 //	24      8      numCells c (uint64)
 //	32      4      numShards (uint32)
-//	36      4      reserved (0)
+//	36      4      lattice axis (uint32, < dims)
 //	40      8      eps (float64 bits)
 //	48      8      dataOff (uint64, multiple of 8; page-aligned when written)
 //	56      8      FNV-64a checksum of bytes [0,56) and [64, 64+metaLen)
@@ -24,18 +24,23 @@
 //	                                            [shardCellEnd[s-1], shardCellEnd[s])
 //	                 winLo, winHi [S]uint32     halo window of shard s in shards
 //	                 coords       [c*d]int32    lattice coords relative to anchor
-//	                 origCell     [c]uint32     writer's grid cell id per store cell
 //	                 origIdx      [n]uint32     original point index per store row
 //	...padding to dataOff...
 //	dataOff n*d*8  float64 point rows, store order
 //
-// Store order is shard-contiguous: the cells of shard 0 (ascending original
-// cell id), then shard 1, and so on — so the halo window of any shard is one
-// contiguous byte range of the data section and maps as a single mmap call.
-// origCell and origIdx record the permutation back to the writer's grid cell
-// ids and point order; the out-of-core engine runs its union-find over
-// original cell ids and scatters outputs through origIdx, which is what makes
-// its labels bit-identical to an in-RAM run.
+// Store order is lattice order: cells strictly ascending by coordinate, the
+// lattice axis first, then the other axes in increasing index order (see
+// grid.LatticeCmp). The shards are cut along the lattice axis, so store order
+// is also shard-contiguous — the cells of shard 0, then shard 1, and so on —
+// and the halo window of any shard is one contiguous byte range of the data
+// section that maps as a single mmap call. It is also the writer's own cell
+// numbering — store cell i is the writer's cell i, which Write checks — so
+// the out-of-core engine runs its union-find over store cell ids and needs
+// no map back to the writer's. origIdx records the permutation back to the
+// writer's point order; scattering outputs through it is what makes the
+// engine's labels bit-identical to an in-RAM run.
+// Store windows build their neighbor lists by sweeping lattice rows, so Open
+// rejects a store whose cells are out of order rather than give wrong lists.
 //
 // The checksum covers the header and metadata only — the point payload can be
 // tens of gigabytes and is exactly the part mmap'd on demand, so it is
@@ -47,13 +52,15 @@ import (
 	"fmt"
 	"math"
 	"os"
+
+	"pdbscan/internal/grid"
 )
 
 const (
 	// Magic identifies a cell store file (version in the following u32).
 	Magic = "PDBSCEL1"
 	// Version is the current format version.
-	Version = 1
+	Version = 2
 
 	headerSize = 64
 	// pageAlign is the alignment of dataOff chosen by the writer. Readers
@@ -70,6 +77,7 @@ const (
 // unit of residency the out-of-core engine accounts against its budget.
 type Store struct {
 	d, n, c, shards int
+	axis            int // primary axis of the lattice order
 	eps, side       float64
 	dataOff         int64
 
@@ -79,7 +87,6 @@ type Store struct {
 	winLo     []uint32 // len shards
 	winHi     []uint32
 	coords    []int32  // c*d, relative to anchor
-	origCell  []uint32 // len c
 	origIdx   []uint32 // len n
 
 	f   *os.File // nil for in-memory stores (Decode)
@@ -157,6 +164,7 @@ func parseHeader(hdr []byte, totalSize int64) (*Store, error) {
 	n := binary.LittleEndian.Uint64(hdr[16:24])
 	c := binary.LittleEndian.Uint64(hdr[24:32])
 	shards := binary.LittleEndian.Uint32(hdr[32:36])
+	axis := binary.LittleEndian.Uint32(hdr[36:40])
 	eps := math.Float64frombits(binary.LittleEndian.Uint64(hdr[40:48]))
 	dataOff := binary.LittleEndian.Uint64(hdr[48:56])
 
@@ -171,6 +179,9 @@ func parseHeader(hdr []byte, totalSize int64) (*Store, error) {
 	}
 	if shards == 0 || uint64(shards) > c || shards > maxShards {
 		return nil, fmt.Errorf("shard count %d out of range [1,min(c,%d)]", shards, maxShards)
+	}
+	if axis >= d {
+		return nil, fmt.Errorf("lattice axis %d out of range for %d dims", axis, d)
 	}
 	if !(eps > 0) || math.IsInf(eps, 0) {
 		return nil, fmt.Errorf("eps %v not a positive finite value", eps)
@@ -188,6 +199,7 @@ func parseHeader(hdr []byte, totalSize int64) (*Store, error) {
 		n:       int(n),
 		c:       int(c),
 		shards:  int(shards),
+		axis:    int(axis),
 		eps:     eps,
 		side:    eps / math.Sqrt(float64(d)),
 		dataOff: int64(dataOff),
@@ -199,14 +211,13 @@ func metaSize(d, n, c, shards int) uint64 {
 		4*uint64(c+1) + // cellStart
 		12*uint64(shards) + // shardCellEnd, winLo, winHi
 		4*uint64(c)*uint64(d) + // coords
-		4*uint64(c) + // origCell
 		4*uint64(n) // origIdx
 }
 
 // parseMeta verifies the checksum over img (header + metadata) and decodes the
 // metadata arrays into owned slices, then validates every structural
-// invariant the engine relies on (monotone extents, window bounds,
-// permutation-ness of origCell/origIdx).
+// invariant the engine relies on (monotone extents, window bounds, lattice
+// order, permutation-ness of origIdx).
 func (st *Store) parseMeta(img []byte) error {
 	metaLen := metaSize(st.d, st.n, st.c, st.shards)
 	if uint64(len(img)) < headerSize+metaLen {
@@ -251,7 +262,6 @@ func (st *Store) parseMeta(img []byte) error {
 	st.winLo = u32s(st.shards)
 	st.winHi = u32s(st.shards)
 	st.coords = i32s(st.c * st.d)
-	st.origCell = u32s(st.c)
 	st.origIdx = u32s(st.n)
 
 	if st.cellStart[0] != 0 || st.cellStart[st.c] != uint32(st.n) {
@@ -275,8 +285,11 @@ func (st *Store) parseMeta(img []byte) error {
 	if st.shardEnd[st.shards-1] != uint32(st.c) {
 		return fmt.Errorf("shard cell boundaries do not cover all %d cells", st.c)
 	}
-	if err := checkPermutation(st.origCell, st.c, "origCell"); err != nil {
-		return err
+	for g := 1; g < st.c; g++ {
+		prev, cur := st.coords[(g-1)*st.d:g*st.d], st.coords[g*st.d:(g+1)*st.d]
+		if grid.LatticeCmp(prev, cur, st.axis) >= 0 {
+			return fmt.Errorf("cells %d and %d not strictly ascending in lattice order (axis %d)", g-1, g, st.axis)
+		}
 	}
 	if err := checkPermutation(st.origIdx, st.n, "origIdx"); err != nil {
 		return err
@@ -319,6 +332,10 @@ func (st *Store) NumCells() int { return st.c }
 // NumShards returns the number of shards the store was written with.
 func (st *Store) NumShards() int { return st.shards }
 
+// Axis returns the primary axis of the lattice order the store's cells are
+// in (the axis its shards were cut along).
+func (st *Store) Axis() int { return st.axis }
+
 // Eps returns the radius the cell lattice was built for.
 func (st *Store) Eps() float64 { return st.eps }
 
@@ -346,9 +363,6 @@ func (st *Store) Window(s int) (loShard, hiShard int) {
 // CellPointStart returns the store point index where cell sc's rows begin;
 // CellPointStart(NumCells()) == NumPoints().
 func (st *Store) CellPointStart(sc int) int { return int(st.cellStart[sc]) }
-
-// OrigCell returns the writer's grid cell id of store cell sc.
-func (st *Store) OrigCell(sc int) int32 { return int32(st.origCell[sc]) }
 
 // OrigIdx returns the original point index per store row (a view; do not
 // mutate).

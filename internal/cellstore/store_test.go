@@ -1,9 +1,12 @@
 package cellstore
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"pdbscan/internal/geom"
@@ -62,17 +65,19 @@ func TestWriteOpenRoundTrip(t *testing.T) {
 	}
 
 	// Every stored point must round-trip to the original coordinates, and
-	// origCell must name a cell with matching lattice coords.
+	// store cell g must be the writer's cell g.
 	m, err := st.MapPoints(0, st.NumCells())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Release()
 	for g := 0; g < st.NumCells(); g++ {
-		og := int(st.OrigCell(g))
+		if st.CellPointStart(g) != int(cells.CellStart[g]) {
+			t.Fatalf("cell %d starts at store row %d, writer's at %d", g, st.CellPointStart(g), cells.CellStart[g])
+		}
 		for j := 0; j < d; j++ {
-			if st.AbsCoord(g, j) != cells.AbsCoord(og, j) {
-				t.Fatalf("cell %d coord %d: %d vs orig cell %d's %d", g, j, st.AbsCoord(g, j), og, cells.AbsCoord(og, j))
+			if st.AbsCoord(g, j) != cells.AbsCoord(g, j) {
+				t.Fatalf("cell %d coord %d: %d vs writer's %d", g, j, st.AbsCoord(g, j), cells.AbsCoord(g, j))
 			}
 		}
 	}
@@ -101,6 +106,24 @@ func TestWriteOpenRoundTrip(t *testing.T) {
 	}
 	if pm.PointLo != pLo {
 		t.Fatalf("PointLo %d, want %d", pm.PointLo, pLo)
+	}
+
+	// A partition whose axis is not the one the cells are ordered by would
+	// give a store out of lattice order; Write refuses it.
+	other := *part
+	other.Axis = (part.Axis + 1) % d
+	err = Write(filepath.Join(t.TempDir(), "other.cells"), cells, &other)
+	if err == nil || !strings.Contains(err.Error(), "not in lattice order") {
+		t.Fatalf("partition along the wrong axis: got error %v", err)
+	}
+	// Store cell i is the writer's cell i, so shards must own consecutive
+	// id ranges in shard order; Write refuses shards in another order.
+	other = *part
+	other.Owned = slices.Clone(part.Owned)
+	other.Owned[0], other.Owned[1] = other.Owned[1], other.Owned[0]
+	err = Write(filepath.Join(t.TempDir(), "other.cells"), cells, &other)
+	if err == nil || !strings.Contains(err.Error(), "consecutive id ranges") {
+		t.Fatalf("shards out of order: got error %v", err)
 	}
 }
 
@@ -135,6 +158,38 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		t.Error("wrong version accepted")
 	}
 
+	// Format v2: each of these images carries a valid checksum, so its own
+	// check must name the damage.
+	for _, tc := range []struct {
+		name, want string
+		damage     func(img []byte)
+	}{
+		{"version 1", "unsupported version 1", func(img []byte) {
+			binary.LittleEndian.PutUint32(img[8:12], 1)
+		}},
+		{"axis >= d", "lattice axis 2 out of range", func(img []byte) {
+			binary.LittleEndian.PutUint32(img[36:40], 2)
+		}},
+		{"adjacent cells swapped", "not strictly ascending in lattice order", func(img []byte) {
+			st, err := Decode(valid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			off := headerSize + 8*st.d + 4*(st.c+1) + 12*st.shards // coords
+			a, b := img[off+8*st.d:off+12*st.d], make([]byte, 4*st.d)
+			copy(b, a)
+			copy(a, img[off+4*st.d:off+8*st.d])
+			copy(img[off+4*st.d:], b)
+		}},
+	} {
+		bad := append([]byte(nil), valid...)
+		tc.damage(bad)
+		restampChecksum(bad)
+		if _, err := Decode(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+
 	// Single bit flips across header and metadata must trip the checksum
 	// (or a structural check).
 	metaEnd := headerSize + int(metaSize(2, 300, 0, 3)) // d,n known; c unknown — flip within header+some meta
@@ -155,9 +210,20 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// restampChecksum recomputes the header checksum of a store image in place.
+func restampChecksum(img []byte) {
+	d := int(binary.LittleEndian.Uint32(img[12:16]))
+	n := int(binary.LittleEndian.Uint64(img[16:24]))
+	c := int(binary.LittleEndian.Uint64(img[24:32]))
+	shards := int(binary.LittleEndian.Uint32(img[32:36]))
+	metaEnd := headerSize + int(metaSize(d, n, c, shards))
+	sum := fnvSum(fnvSum(fnvNew(), img[0:56]), img[headerSize:metaEnd])
+	binary.LittleEndian.PutUint64(img[56:64], sum)
+}
+
 // FuzzCellStoreDecode: arbitrary bytes must never panic or allocate
 // unboundedly; a successful decode must satisfy the format invariants the
-// engine relies on.
+// engine relies on, lattice order included.
 func FuzzCellStoreDecode(f *testing.F) {
 	path, _, _ := buildStore(f, 200, 2, 3, 9)
 	valid, err := os.ReadFile(path)
@@ -184,6 +250,23 @@ func FuzzCellStoreDecode(f *testing.F) {
 		}
 		if st.CellPointStart(st.NumCells()) != st.NumPoints() {
 			t.Fatal("cell extents do not cover all points")
+		}
+		if st.Axis() >= st.Dims() {
+			t.Fatalf("lattice axis %d of a %d-dim store", st.Axis(), st.Dims())
+		}
+		key := func(sc int) []int64 {
+			k := []int64{st.AbsCoord(sc, st.Axis())}
+			for j := 0; j < st.Dims(); j++ {
+				if j != st.Axis() {
+					k = append(k, st.AbsCoord(sc, j))
+				}
+			}
+			return k
+		}
+		for sc := 1; sc < st.NumCells(); sc++ {
+			if slices.Compare(key(sc-1), key(sc)) >= 0 {
+				t.Fatalf("store cells %d and %d out of lattice order", sc-1, sc)
+			}
 		}
 	})
 }

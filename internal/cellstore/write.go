@@ -6,14 +6,18 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
+	"runtime"
 
 	"pdbscan/internal/grid"
 )
 
 // Write persists the grid cell structure c, laid out shard-contiguously by
-// part, to path (via a temp file + rename, so a crash never leaves a partial
-// store behind). c must be a grid construction (Coords non-nil) and part a
-// partition of exactly c's cells.
+// part, to path. It writes a temp file, syncs it, renames it over path and
+// syncs the directory, so a crash never leaves a partial store behind. c must
+// be a grid construction (Coords non-nil) and part a partition of exactly c's
+// cells, cut along the axis c's cells are lattice-ordered by — as BuildGrid
+// and MakePartition give — so that store order is lattice order.
 func Write(path string, c *grid.Cells, part *grid.Partition) error {
 	if c.Coords == nil || c.Anchor == nil {
 		return fmt.Errorf("cellstore: only the grid construction can be persisted (box cells have no lattice coords)")
@@ -34,16 +38,23 @@ func Write(path string, c *grid.Cells, part *grid.Partition) error {
 		return fmt.Errorf("cellstore: %d shards exceeds format limit %d", shards, maxShards)
 	}
 
-	// Store cell order: shard 0's owned cells (ascending original id), then
-	// shard 1's, ... — the layout that makes any shard's halo window one
-	// contiguous byte range.
-	order := make([]int32, 0, numCells)
+	// Store order is c's own cell order, so store cell i is cell i and
+	// windows need no map back to c's ids. It must be shard-contiguous —
+	// shard 0's owned cells, then shard 1's, ... — which makes any shard's
+	// halo window one contiguous byte range, and lattice-ordered, because
+	// store windows sweep it as such.
 	shardEnd := make([]uint32, shards)
 	winLo := make([]uint32, shards)
 	winHi := make([]uint32, shards)
+	next := 0
 	for s := 0; s < shards; s++ {
-		order = append(order, part.Owned[s]...)
-		shardEnd[s] = uint32(len(order))
+		for _, g := range part.Owned[s] {
+			if int(g) != next {
+				return fmt.Errorf("cellstore: shard %d owns cell %d where store order needs cell %d (shards must own consecutive id ranges, in order)", s, g, next)
+			}
+			next++
+		}
+		shardEnd[s] = uint32(next)
 		lo, hi := s, s
 		for _, g := range part.Halo[s] {
 			if o := int(part.ShardOf[g]); o < lo {
@@ -54,8 +65,16 @@ func Write(path string, c *grid.Cells, part *grid.Partition) error {
 		}
 		winLo[s], winHi[s] = uint32(lo), uint32(hi)
 	}
-	if len(order) != numCells {
-		return fmt.Errorf("cellstore: partition owns %d cells, structure has %d", len(order), numCells)
+	if next != numCells {
+		return fmt.Errorf("cellstore: partition owns %d cells, structure has %d", next, numCells)
+	}
+	if part.Axis < 0 || part.Axis >= d {
+		return fmt.Errorf("cellstore: partition axis %d out of range for %d dims", part.Axis, d)
+	}
+	for g := 1; g < numCells; g++ {
+		if grid.LatticeCmp(c.Coords[(g-1)*d:g*d], c.Coords[g*d:(g+1)*d], part.Axis) >= 0 {
+			return fmt.Errorf("cellstore: cells are not in lattice order along partition axis %d", part.Axis)
+		}
 	}
 
 	metaLen := metaSize(d, n, numCells, shards)
@@ -65,11 +84,8 @@ func Write(path string, c *grid.Cells, part *grid.Partition) error {
 	for _, a := range c.Anchor {
 		putU64(uint64(a))
 	}
-	pos := uint32(0)
-	putU32(0)
-	for _, g := range order {
-		pos += uint32(c.CellSize(int(g)))
-		putU32(pos)
+	for _, v := range c.CellStart {
+		putU32(uint32(v))
 	}
 	for _, v := range shardEnd {
 		putU32(v)
@@ -80,18 +96,11 @@ func Write(path string, c *grid.Cells, part *grid.Partition) error {
 	for _, v := range winHi {
 		putU32(v)
 	}
-	for _, g := range order {
-		for j := 0; j < d; j++ {
-			putU32(uint32(c.Coords[int(g)*d+j]))
-		}
+	for _, v := range c.Coords {
+		putU32(uint32(v))
 	}
-	for _, g := range order {
-		putU32(uint32(g))
-	}
-	for _, g := range order {
-		for _, p := range c.PointsOf(int(g)) {
-			putU32(uint32(p))
-		}
+	for _, p := range c.Order {
+		putU32(uint32(p))
 	}
 	if uint64(len(meta)) != metaLen {
 		return fmt.Errorf("cellstore: internal error: metadata is %d bytes, expected %d", len(meta), metaLen)
@@ -107,6 +116,7 @@ func Write(path string, c *grid.Cells, part *grid.Partition) error {
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(n))
 	binary.LittleEndian.PutUint64(hdr[24:32], uint64(numCells))
 	binary.LittleEndian.PutUint32(hdr[32:36], uint32(shards))
+	binary.LittleEndian.PutUint32(hdr[36:40], uint32(part.Axis))
 	binary.LittleEndian.PutUint64(hdr[40:48], math.Float64bits(c.Eps))
 	binary.LittleEndian.PutUint64(hdr[48:56], dataOff)
 	sum := fnvSum(fnvSum(fnvNew(), hdr[0:56]), meta)
@@ -125,15 +135,12 @@ func Write(path string, c *grid.Cells, part *grid.Partition) error {
 		w.WriteByte(0)
 	}
 	var row [8]byte
-	for _, g := range order {
-		for _, p := range c.PointsOf(int(g)) {
-			base := int(p) * d
-			for j := 0; j < d; j++ {
-				binary.LittleEndian.PutUint64(row[:], math.Float64bits(c.Pts.Data[base+j]))
-				if _, err := w.Write(row[:]); err != nil {
-					f.Close()
-					return err
-				}
+	for _, p := range c.Order {
+		for _, v := range c.Pts.At(int(p)) {
+			binary.LittleEndian.PutUint64(row[:], math.Float64bits(v))
+			if _, err := w.Write(row[:]); err != nil {
+				f.Close()
+				return err
 			}
 		}
 	}
@@ -141,8 +148,36 @@ func Write(path string, c *grid.Cells, part *grid.Partition) error {
 		f.Close()
 		return err
 	}
+	// The data must reach the disk before the rename does: the payload is
+	// not checksummed, so a store renamed over unwritten blocks would open
+	// and give wrong labels.
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir makes a rename inside dir durable. Windows cannot sync a directory
+// handle opened read-only (FlushFileBuffers fails with access denied), so
+// there the rename is left to the file system.
+func syncDir(dir string) error {
+	if runtime.GOOS == "windows" {
+		return nil
+	}
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -167,12 +167,7 @@ func (st *pipeline) processPair(g, h int32, connect connectFunc, ws *workerScrat
 }
 
 // gid returns the global cell id (the union-find key) of cell g.
-func (st *pipeline) gid(g int32) int32 {
-	if st.global == nil {
-		return g
-	}
-	return st.global[g]
-}
+func (st *pipeline) gid(g int32) int32 { return st.cellLo + g }
 
 // bcpConnected decides cell connectivity with a bichromatic closest pair
 // computation over core points, using the two optimizations of Section 4.4:

@@ -80,7 +80,8 @@ func ScatterResult(ex *parallel.Pool, res *Result, origIdx []uint32) {
 }
 
 // storeSource is the cell store source: one window per shard, mapped from the
-// store, whose local cell ids translate to the writer's cell ids.
+// store. Store cell ids are the writer's cell ids, so a window's local id is
+// its global id less the window's first cell.
 type storeSource struct {
 	store  *cellstore.Store
 	maxRes int64
@@ -90,17 +91,17 @@ type storeSource struct {
 func (s *storeSource) windows() int { return s.store.NumShards() }
 
 // open maps shard sh's halo window and stands the mapped range up as the
-// window's cell structure directly — the store already holds the cell-major
-// layout BuildCellMajor wants, so there is no per-window re-gather: no
-// semisort, no coordinate hashing, and the pipeline's payload aliases the
-// mapping itself (zero copy against the residency budget). Local cell ids
-// are store order from the window's first cell.
+// window's cell structure directly — the store already holds the cell-major,
+// lattice-ordered layout BuildCellMajor wants, so there is no per-window
+// re-gather: no semisort, no coordinate hashing, no cell table, and the
+// pipeline's payload aliases the mapping itself (zero copy against the
+// residency budget). Local cell ids are store order from the window's first
+// cell.
 //
-// A window builds the cell table and boxes over every window cell — halo
-// cells are the targets of neighbor lookups, core scans and pair tests — and
-// neighbor lists for the owned cells only: every executor step walks
-// Neighbors[g] from an owned g, and owned-only lists keep each cell's list
-// to one build per sweep.
+// A window builds boxes over every window cell — halo cells are the targets
+// of the neighbor sweep, core scans and pair tests — and neighbor lists for
+// the owned cells only: every executor step walks Neighbors[g] from an owned
+// g, and owned-only lists keep each cell's list to one build per sweep.
 func (s *storeSource) open(r *shardRun, sh int, border bool) (*shardWindow, error) {
 	store := s.store
 	wlo, whi := store.Window(sh)
@@ -123,7 +124,6 @@ func (s *storeSource) open(r *shardRun, sh int, border bool) (*shardWindow, erro
 	numCells := cellHi - cellLo
 	cellStart := make([]int32, numCells+1)
 	abs := make([]int64, numCells*d)
-	global := make([]int32, numCells)
 	for i := 0; i <= numCells; i++ {
 		cellStart[i] = int32(store.CellPointStart(cellLo+i) - m.PointLo)
 	}
@@ -131,8 +131,7 @@ func (s *storeSource) open(r *shardRun, sh int, border bool) (*shardWindow, erro
 		m.Release()
 		return nil, fmt.Errorf("core: window of shard %d maps %d points, cell offsets say %d (corrupt store?)", sh, pts.N, cellStart[numCells])
 	}
-	for i := range global {
-		global[i] = store.OrigCell(cellLo + i)
+	for i := 0; i < numCells; i++ {
 		for j := 0; j < d; j++ {
 			abs[i*d+j] = store.AbsCoord(cellLo+i, j)
 		}
@@ -151,9 +150,9 @@ func (s *storeSource) open(r *shardRun, sh int, border bool) (*shardWindow, erro
 	}
 
 	ex := r.p.Exec
-	cells := grid.BuildCellMajor(ex, pts, store.Eps(), cellStart, abs)
+	cells := grid.BuildCellMajor(ex, pts, store.Eps(), cellStart, abs, store.Axis())
 	cells.ComputeNeighbors(ex, owned)
-	st := r.window(cells, global, m.PointLo)
+	st := r.window(cells, cellLo, m.PointLo)
 	w := &shardWindow{
 		st:        st,
 		owned:     [][]int32{owned},
@@ -174,7 +173,7 @@ func (s *storeSource) open(r *shardRun, sh int, border bool) (*shardWindow, erro
 
 func (s *storeSource) label(ex *parallel.Pool, coreFlags []bool, labels []int32, cellLabel func(gc int32) int32) {
 	ex.ForGrain(s.store.NumCells(), 8, func(sc int) {
-		lbl := cellLabel(s.store.OrigCell(sc))
+		lbl := cellLabel(int32(sc))
 		lo, hi := s.store.CellPointStart(sc), s.store.CellPointStart(sc+1)
 		for i := lo; i < hi; i++ {
 			if coreFlags[i] {

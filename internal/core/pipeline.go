@@ -156,9 +156,9 @@ type pipeline struct {
 
 	phaseClock
 
-	// global maps a window-local cell to its global cell id, the key of the
-	// union-find; nil is the identity (every path but out-of-core windows).
-	global []int32
+	// cellLo is the global cell id (the union-find key) of window-local cell
+	// 0; 0 on every path but out-of-core windows.
+	cellLo int32
 
 	coreFlags []bool
 	corePts   [][]int32 // per cell: payload rows of its core points

@@ -169,10 +169,10 @@ func (r *shardRun) sweep(border bool, step func(*shardWindow) error) error {
 
 // window stands a pipeline up over a window's cells: its core flags are the
 // run's, from flag index flagLo on, and its unions land in the run's
-// union-find through global (nil: the identity). The caller releases it.
-func (r *shardRun) window(cells *grid.Cells, global []int32, flagLo int) *pipeline {
+// union-find, local cell g as global cell cellLo+g. The caller releases it.
+func (r *shardRun) window(cells *grid.Cells, cellLo, flagLo int) *pipeline {
 	st := newPipeline(cells, r.p)
-	st.global = global
+	st.cellLo = int32(cellLo)
 	st.uf = r.uf
 	st.coreFlags = r.coreFlags[flagLo : flagLo+cells.Pts.N]
 	if st.p.Mark == MarkQuadtree {
@@ -322,7 +322,7 @@ func (s *ramSource) windows() int { return 1 }
 func (s *ramSource) open(r *shardRun, _ int, _ bool) (*shardWindow, error) {
 	if s.win == nil {
 		s.win = &shardWindow{
-			st:      r.window(s.cells, nil, 0),
+			st:      r.window(s.cells, 0, 0),
 			owned:   s.part.Owned,
 			cross:   s.part.Boundary,
 			shardOf: s.part.ShardOf,

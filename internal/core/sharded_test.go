@@ -151,7 +151,7 @@ func TestStoreWindowNeighbors(t *testing.T) {
 				for _, g := range w.owned[0] {
 					owned[g] = true
 				}
-				global, nbrs := w.st.global, w.st.cells.Neighbors
+				nbrs := w.st.cells.Neighbors
 				for g := range nbrs {
 					if !owned[int32(g)] {
 						halo++
@@ -160,14 +160,14 @@ func TestStoreWindowNeighbors(t *testing.T) {
 						}
 						continue
 					}
-					want := cells.Neighbors[global[g]]
+					want := cells.Neighbors[w.st.gid(int32(g))]
 					got := make([]int32, len(nbrs[g]))
 					for i, h := range nbrs[g] {
-						got[i] = global[h]
+						got[i] = w.st.gid(h)
 					}
 					slices.Sort(got)
 					if !slices.Equal(got, want) {
-						t.Fatalf("d=%d shard %d: cell %d (global %d) has neighbors %v, writer has %v", l.d, sh, g, global[g], nbrs[g], want)
+						t.Fatalf("d=%d shard %d: cell %d (global %d) has neighbors %v, writer has %v", l.d, sh, g, w.st.gid(int32(g)), nbrs[g], want)
 					}
 					refs += len(want)
 				}

@@ -142,7 +142,7 @@ func snapshotMatchesBuildGrid(t *testing.T, dy *Dynamic, live []int32) {
 }
 
 func TestDynamicMatchesBuildGridUnderMutations(t *testing.T) {
-	for _, d := range []int{2, 3, 5} {
+	for _, d := range []int{1, 2, 3, 5} {
 		rng := rand.New(rand.NewSource(int64(10 + d)))
 		dy := NewDynamic(d, 2.5)
 		var live []int32

@@ -1,6 +1,6 @@
 // Package grid implements the cell constructions of Sections 4.1 and 4.2:
-// the grid method (semisort points by cell key, store non-empty cells in a
-// concurrent hash table) and the 2D box method (strips via sorting + pointer
+// the grid method (semisort points by cell key, number the non-empty cells in
+// lattice order) and the 2D box method (strips via sorting + pointer
 // jumping). Both produce the same Cells representation, which is what every
 // downstream phase (MarkCore, ClusterCore, ClusterBorder) consumes.
 package grid
@@ -53,7 +53,12 @@ type Cells struct {
 	// indices belonging to each strip (len numStrips+1). Nil for grid.
 	StripCellStart []int32
 
-	table *cellTable // grid only: coords -> cell index
+	// axis is the primary key axis of the lattice order BuildGrid and
+	// BuildCellMajor number cells in (see lattice.go).
+	axis int
+	// table maps coords to cell index for Dynamic snapshots, whose cells are
+	// not lattice-ordered; nil for every other construction.
+	table *cellTable
 
 	// Neighbors[g] lists the cells that could contain points within eps of
 	// cell g (excluding g itself), in increasing index order. Filled by one
@@ -217,9 +222,9 @@ func CellCoord(v, side float64) int64 {
 
 // BuildGrid assigns the points to grid cells of side eps/sqrt(d)
 // (Section 4.1): compute each point's cell coordinates, semisort the points
-// by cell key, and insert the non-empty cells into a concurrent hash table.
-// Expected O(n) work. The executor ex sizes every parallel step (nil =
-// default pool).
+// by cell key, then radix-sort the m non-empty cells (not the n points) into
+// lattice order and number them in that order. Expected O(n) work. The
+// executor ex sizes every parallel step (nil = default pool).
 //
 // Preconditions (enforced with clear errors by the public pdbscan entry
 // points): coordinates are finite, |v|/side < MaxExactCells, and the
@@ -261,37 +266,60 @@ func BuildGrid(ex *parallel.Pool, pts geom.Points, eps float64) *Cells {
 		return !coordsEqual(coordsOf(order[i]), coordsOf(order[i-1]))
 	})
 	numCells := len(starts)
+	starts = append(starts, int32(n)) // run h is order[starts[h]:starts[h+1]]
+
+	// Lattice order: sort the semisorted runs by coordinate, split axis
+	// first, and number the cells in that order. The points move with their
+	// runs, keeping their order within a cell.
+	runCoords := make([]int32, numCells*d)
+	ex.For(numCells, func(h int) { copy(runCoords[h*d:(h+1)*d], coordsOf(order[starts[h]])) })
+	widths := coordWidths(runCoords, d)
+	axis, _ := latticeAxis(ex, runCoords, d, widths)
+	perm := latticeOrder(ex, runCoords, d, axis, widths)
 	cellStart := make([]int32, numCells+1)
-	copy(cellStart, starts)
-	cellStart[numCells] = int32(n)
+	ex.For(numCells, func(g int) { cellStart[g] = starts[perm[g]+1] - starts[perm[g]] })
+	prim.PrefixSumInPlace(ex, cellStart)
 
 	c := &Cells{
 		Pts:       pts,
 		Eps:       eps,
 		Side:      side,
 		Anchor:    anchor,
-		Order:     order,
+		Order:     make([]int32, n),
 		CellStart: cellStart,
 		CellOf:    make([]int32, n),
 		BBLo:      make([]float64, numCells*d),
 		BBHi:      make([]float64, numCells*d),
 		Coords:    make([]int32, numCells*d),
+		axis:      axis,
 	}
-	c.table = newCellTable(numCells, c)
 
 	ex.ForGrain(numCells, 1, func(g int) {
-		lo, hi := int(cellStart[g]), int(cellStart[g+1])
-		rep := coordsOf(order[lo])
-		copy(c.Coords[g*d:(g+1)*d], rep)
+		h := int(perm[g])
+		copy(c.PointsOf(g), order[starts[h]:starts[h+1]])
+		copy(c.Coords[g*d:(g+1)*d], runCoords[h*d:(h+1)*d])
+		for _, p := range c.PointsOf(g) {
+			c.CellOf[p] = int32(g)
+		}
+	})
+	c.buildPayload(ex, nil)
+	c.boundBoxes(ex)
+	return c
+}
+
+// boundBoxes computes every cell's bounding box from the payload: one
+// sequential pass over each cell's rows, where reading the points in input
+// order would be a gather.
+func (c *Cells) boundBoxes(ex *parallel.Pool) {
+	d := c.Pts.D
+	ex.ForGrain(c.NumCells(), 1, func(g int) {
+		lo, hi := int(c.CellStart[g]), int(c.CellStart[g+1])
 		bbLo := c.BBLo[g*d : (g+1)*d]
 		bbHi := c.BBHi[g*d : (g+1)*d]
-		copy(bbLo, pts.At(int(order[lo])))
-		copy(bbHi, pts.At(int(order[lo])))
-		for i := lo; i < hi; i++ {
-			p := order[i]
-			c.CellOf[p] = int32(g)
-			row := pts.At(int(p))
-			for j, v := range row {
+		copy(bbLo, c.Payload[lo*d:(lo+1)*d])
+		copy(bbHi, c.Payload[lo*d:(lo+1)*d])
+		for r := lo + 1; r < hi; r++ {
+			for j, v := range c.Payload[r*d : (r+1)*d] {
 				if v < bbLo[j] {
 					bbLo[j] = v
 				}
@@ -300,10 +328,7 @@ func BuildGrid(ex *parallel.Pool, pts geom.Points, eps float64) *Cells {
 				}
 			}
 		}
-		c.table.insert(int32(g))
 	})
-	c.buildPayload(ex, nil)
-	return c
 }
 
 // BuildCellMajor constructs Cells directly from a point store that is
@@ -312,10 +337,11 @@ func BuildGrid(ex *parallel.Pool, pts geom.Points, eps float64) *Cells {
 // coordinates (numCells*d, row-major). This is the out-of-core window path —
 // internal/cellstore maps exactly this layout, so the window needs no
 // re-gather: Order and Rows are the identity and Payload aliases pts.Data
-// (zero copy). All cells must be non-empty and the relative coordinate
-// spread must fit int32, as for BuildGrid. Neighbors are left to the
-// ComputeNeighbors* methods.
-func BuildCellMajor(ex *parallel.Pool, pts geom.Points, eps float64, cellStart []int32, abs []int64) *Cells {
+// (zero copy). All cells must be non-empty, strictly ascending in the lattice
+// order whose primary axis is axis (the neighbor sweep trusts it), and the
+// relative coordinate spread must fit int32, as for BuildGrid. Neighbors are
+// left to the ComputeNeighbors* methods.
+func BuildCellMajor(ex *parallel.Pool, pts geom.Points, eps float64, cellStart []int32, abs []int64, axis int) *Cells {
 	n, d := pts.N, pts.D
 	numCells := len(cellStart) - 1
 	side := eps / math.Sqrt(float64(d))
@@ -346,34 +372,20 @@ func BuildCellMajor(ex *parallel.Pool, pts geom.Points, eps float64, cellStart [
 		Coords:    make([]int32, numCells*d),
 		Payload:   pts.Data,
 		Rows:      rows,
+		axis:      axis,
 	}
 	ex.For(n, func(i int) { rows[i] = int32(i) })
-	c.table = newCellTable(numCells, c)
 
 	ex.ForGrain(numCells, 1, func(g int) {
-		lo, hi := int(cellStart[g]), int(cellStart[g+1])
 		co := c.Coords[g*d : (g+1)*d]
 		for j := 0; j < d; j++ {
 			co[j] = int32(abs[g*d+j] - anchor[j])
 		}
-		bbLo := c.BBLo[g*d : (g+1)*d]
-		bbHi := c.BBHi[g*d : (g+1)*d]
-		copy(bbLo, pts.At(lo))
-		copy(bbHi, pts.At(lo))
-		for i := lo; i < hi; i++ {
+		for i := cellStart[g]; i < cellStart[g+1]; i++ {
 			c.CellOf[i] = int32(g)
-			row := pts.At(i)
-			for j, v := range row {
-				if v < bbLo[j] {
-					bbLo[j] = v
-				}
-				if v > bbHi[j] {
-					bbHi[j] = v
-				}
-			}
 		}
-		c.table.insert(int32(g))
 	})
+	c.boundBoxes(ex)
 	return c
 }
 
@@ -436,7 +448,8 @@ func parCellMin(ex *parallel.Pool, pts geom.Points, side float64) []int64 {
 
 // cellTable maps cell coordinates to cell indices with the concurrent
 // linear-probing scheme of internal/hashtable, but keyed on full coordinate
-// vectors (compared exactly on lookup).
+// vectors (compared exactly on lookup). Only Dynamic snapshots build one:
+// their cells are not lattice-ordered, so they cannot be swept.
 type cellTable struct {
 	cells *Cells
 	slots []int32 // cell index + 1; 0 = empty
@@ -485,21 +498,42 @@ func (t *cellTable) lookup(co []int32) int32 {
 	}
 }
 
+// offsetGap2 returns the squared gap along one axis between two cubes of
+// side side that are o lattice steps apart.
+func offsetGap2(o int64, side float64) float64 {
+	if o == 0 {
+		return 0
+	}
+	g := float64(max(o, -o)-1) * side
+	return g * g
+}
+
+// axisReach returns the largest lattice offset along one axis whose gap alone
+// passes pruneBound: ⌈√d⌉, or √d+1 when d is a perfect square, where cubes
+// √d+1 apart are exactly eps away — the exact test (and the k-d path) keeps
+// them. The offset enumeration and the row sweep both reach this far.
+func (c *Cells) axisReach(pruneBound float64) int64 {
+	m := int64(math.Ceil(math.Sqrt(float64(c.Pts.D))))
+	for offsetGap2(m+1, c.Side) <= pruneBound {
+		m++
+	}
+	return m
+}
+
 // enumNeighborsOf returns the cells that could contain points within eps of
 // the grid cube at absolute lattice coordinates abs, by enumerating all
-// integer coordinate offsets within ceil(sqrt(d)) per axis and looking each
-// one up in the cell hash table. exclude (a cell index, or -1) is omitted
-// from the result. The cube at abs need not be an existing cell — the
-// streaming structure uses this to find the eps-neighborhood of a destroyed
-// cell.
+// integer coordinate offsets within axisReach per axis and looking each one
+// up in the cell hash table. exclude (a cell index, or -1) is omitted from
+// the result. The cube at abs need not be an existing cell — the streaming
+// structure uses this to find the eps-neighborhood of a destroyed cell.
 func (c *Cells) enumNeighborsOf(abs []int64, exclude int32) []int32 {
 	d := c.Pts.D
-	m := int64(math.Ceil(math.Sqrt(float64(d))))
 	eps2 := c.Eps * c.Eps * (1 + 1e-12)
 	// Loose pruning bound for the offset recursion; the final decision uses
 	// the exact cube-distance test shared with the k-d path so that both
 	// methods return identical neighbor sets.
 	pruneBound := eps2 * (1 + 1e-9)
+	m := c.axisReach(pruneBound)
 	var nbrs []int32
 	k := geom.NewKernel(c.Pts)
 	probe := make([]int32, d)
@@ -525,13 +559,6 @@ func (c *Cells) enumNeighborsOf(abs []int64, exclude int32) []int32 {
 			return
 		}
 		for o := -m; o <= m; o++ {
-			// Minimum axis gap between cells offset by o cells.
-			gap := 0.0
-			if o > 0 {
-				gap = float64(o-1) * c.Side
-			} else if o < 0 {
-				gap = float64(-o-1) * c.Side
-			}
 			// Probe coordinates are relative to the anchor; cells only exist
 			// at representable relative positions.
 			rel := abs[j] + o - c.Anchor[j]
@@ -539,7 +566,7 @@ func (c *Cells) enumNeighborsOf(abs []int64, exclude int32) []int32 {
 				continue
 			}
 			probe[j] = int32(rel)
-			rec(j+1, dist2+gap*gap)
+			rec(j+1, dist2+offsetGap2(o, c.Side))
 		}
 	}
 	rec(0, 0)
@@ -547,32 +574,32 @@ func (c *Cells) enumNeighborsOf(abs []int64, exclude int32) []int32 {
 	return nbrs
 }
 
-// ComputeNeighbors fills Neighbors for the listed cells (nil: every cell)
-// and leaves every other entry nil. Lookups still range over every cell, so
-// a listed cell's list is the one a full fill would give it. Only valid for
-// the grid construction.
+// ComputeNeighbors fills Neighbors for the listed cells (nil: every cell;
+// a list must be ascending) and leaves every other entry nil. Candidates
+// still range over every cell, so a listed cell's list is the one a full
+// fill would give it. Only valid for BuildGrid and BuildCellMajor cells.
 func (c *Cells) ComputeNeighbors(ex *parallel.Pool, cells []int32) {
-	// Offset enumeration is cheap in low dimensions; the k-d tree wins once
-	// (2*ceil(sqrt(d))+1)^d explodes (Section 5.1).
+	// The row sweep is cheap in low dimensions; the k-d tree wins once
+	// (2*ceil(sqrt(d))+1)^(d-1) rows explode (Section 5.1).
 	c.fillNeighbors(ex, cells, c.Pts.D > 3)
 }
 
-// ComputeNeighborsEnum fills Neighbors by offset enumeration — the
-// constant-work-per-cell method the 2D algorithms use (Section 4.1). Only
-// valid for the grid construction.
+// ComputeNeighborsEnum fills Neighbors by the lattice row sweep — the
+// constant-work-per-cell method the 2D algorithms use (Section 4.1), in any
+// dimension. Only valid for BuildGrid and BuildCellMajor cells.
 func (c *Cells) ComputeNeighborsEnum(ex *parallel.Pool) { c.fillNeighbors(ex, nil, false) }
 
 // fillNeighbors fills Neighbors for the listed cells (nil: every cell), by
-// offset enumeration or, with kd, by queries to a k-d tree over every
+// the lattice row sweep or, with kd, by queries to a k-d tree over every
 // cell's center.
 func (c *Cells) fillNeighbors(ex *parallel.Pool, cells []int32, kd bool) {
+	if !kd {
+		c.sweepNeighbors(ex, cells)
+		return
+	}
 	d := c.Pts.D
 	numCells := c.NumCells()
-	of := c.enumNeighborsOf
-	if kd {
-		tree, _ := c.cellCenterTree(ex)
-		of = func(abs []int64, exclude int32) []int32 { return c.kdNeighborsOf(tree, nil, abs, exclude) }
-	}
+	tree, _ := c.cellCenterTree(ex)
 	m := numCells
 	if cells != nil {
 		m = len(cells)
@@ -587,7 +614,7 @@ func (c *Cells) fillNeighbors(ex *parallel.Pool, cells []int32, kd bool) {
 		for j := 0; j < d; j++ {
 			abs[j] = c.AbsCoord(g, j)
 		}
-		c.Neighbors[g] = of(abs, int32(g))
+		c.Neighbors[g] = c.kdNeighborsOf(tree, nil, abs, int32(g))
 	})
 }
 

@@ -1,11 +1,14 @@
 package grid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pdbscan/internal/geom"
+	"pdbscan/internal/parallel"
 )
 
 func randomPoints(n, d int, scale float64, seed int64) geom.Points {
@@ -125,24 +128,141 @@ func TestBuildGridHighDim(t *testing.T) {
 	}
 }
 
-func TestGridEnumAndKDAgree(t *testing.T) {
-	pts := randomPoints(1500, 3, 60, 7)
-	c1 := BuildGrid(nil, pts, 8.0)
-	c1.ComputeNeighborsEnum(nil)
-	c2 := BuildGrid(nil, pts, 8.0)
-	c2.ComputeNeighborsKD(nil)
-	if c1.NumCells() != c2.NumCells() {
-		t.Fatalf("cell counts differ")
-	}
-	// Enum uses cube distance, KD uses cube distance too; lists must match.
-	for g := 0; g < c1.NumCells(); g++ {
-		a, b := c1.Neighbors[g], c2.Neighbors[g]
-		if len(a) != len(b) {
-			t.Fatalf("cell %d: %d vs %d neighbors", g, len(a), len(b))
+// neighborLayouts are the point sets the neighbor and lattice-order tests
+// run in d dimensions (d >= 1), all with eps 2.
+func neighborLayouts(d int) map[string]geom.Points {
+	const eps = 2.0
+	side := eps / math.Sqrt(float64(d))
+	rng := rand.New(rand.NewSource(int64(d)))
+	layout := func(n int, coord func(i, j int) float64) geom.Points {
+		data := make([]float64, n*d)
+		for i := 0; i < n; i++ {
+			for j := 0; j < d; j++ {
+				data[i*d+j] = coord(i, j)
+			}
 		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("cell %d neighbor %d: %d vs %d", g, i, a[i], b[i])
+		return geom.Points{N: n, D: d, Data: data}
+	}
+	return map[string]geom.Points{
+		"uniform": layout(700, func(_, _ int) float64 { return rng.Float64() * 12 }),
+		// 40 distinct points, each repeated 15 times.
+		"duplicates": layout(600, func(i, j int) float64 {
+			return float64((i%40)*7+j*3) * 0.31
+		}),
+		// Every coordinate a lattice multiple: points sit on cube corners,
+		// so corner cubes are exactly eps apart.
+		"lattice-aligned": layout(500, func(_, _ int) float64 { return float64(rng.Intn(9)) * side }),
+		"negative":        layout(600, func(_, _ int) float64 { return -1 - rng.Float64()*10 }),
+		// Two columns far apart on axis 0, spread on the others.
+		"far-columns": layout(400, func(i, j int) float64 {
+			if j == 0 {
+				return 0.25 + float64(i%2)*10000
+			}
+			return rng.Float64() * 30
+		}),
+		// Even slabs of axis 0 hold two cells at the ends of the last axis,
+		// odd slabs a cell at every last coordinate in between, so each
+		// row pointer skips many cells between two cells of its own row.
+		"sparse-rows": layout(900, func(i, j int) float64 {
+			x := i % 30
+			switch {
+			case j == 0:
+				return (float64(x) + 0.5) * side
+			case j < d-1:
+				return (float64(i/30%2) + 0.5) * side
+			case x%2 == 0:
+				return (float64(i/30%2)*25 + 0.5) * side
+			}
+			return (float64(i/30%26) + 0.5) * side
+		}),
+		// Cells strung along axis 0 with a gap after every fifth: in 1D one
+		// lattice row of 1,000 cells, in higher d 1,000 rows of one cell,
+		// so a sweep over a third of them spans several blocks.
+		"line": layout(1000, func(i, j int) float64 {
+			if j == 0 {
+				return (float64(i+i/5) + 0.5) * side
+			}
+			return 0.5 * side
+		}),
+	}
+}
+
+// TestGridEnumAndKDAgree: on every layout in d = 1-4, the row sweep gives the
+// k-d lists slice for slice, ascending, and lists every cell pair holding
+// points within eps; a fill over a contiguous id range gives the full fill's
+// lists for the listed cells and nil elsewhere. Four workers cut the larger
+// sweeps into several blocks on any host.
+func TestGridEnumAndKDAgree(t *testing.T) {
+	ex := parallel.NewPool(4)
+	for d := 1; d <= 4; d++ {
+		for name, pts := range neighborLayouts(d) {
+			t.Run(fmt.Sprintf("%s/d=%d", name, d), func(t *testing.T) {
+				c := BuildGrid(nil, pts, 2.0)
+				c.ComputeNeighborsEnum(ex)
+				checkNeighbors(t, c)
+				kd := BuildGrid(nil, pts, 2.0)
+				kd.ComputeNeighborsKD(nil)
+				for g := range c.Neighbors {
+					if !slices.IsSorted(c.Neighbors[g]) || !slices.Equal(c.Neighbors[g], kd.Neighbors[g]) {
+						t.Fatalf("cell %d: sweep %v, k-d %v", g, c.Neighbors[g], kd.Neighbors[g])
+					}
+				}
+
+				lo, hi := c.NumCells()/3, 2*c.NumCells()/3+1
+				var listed []int32
+				for g := lo; g < hi; g++ {
+					listed = append(listed, int32(g))
+				}
+				part := BuildGrid(nil, pts, 2.0)
+				part.fillNeighbors(ex, listed, false)
+				for g, got := range part.Neighbors {
+					listed := g >= lo && g < hi
+					if (listed && !slices.Equal(got, c.Neighbors[g])) || (!listed && got != nil) {
+						t.Fatalf("fill of [%d,%d): cell %d got %v, full fill %v", lo, hi, g, got, c.Neighbors[g])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestLatticeOrder: BuildGrid numbers its cells strictly ascending in lattice
+// order with MakePartition's split axis primary, so every shard owns a
+// contiguous id range.
+func TestLatticeOrder(t *testing.T) {
+	for d := 1; d <= 4; d++ {
+		for name, pts := range neighborLayouts(d) {
+			c := BuildGrid(nil, pts, 2.0)
+			c.ComputeNeighborsEnum(nil)
+			p, err := MakePartition(nil, c, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.axis != p.Axis {
+				t.Fatalf("%s d=%d: cells ordered by axis %d, partition cut along %d", name, d, c.axis, p.Axis)
+			}
+			key := func(g int) []int64 {
+				k := []int64{c.AbsCoord(g, p.Axis)}
+				for j := 0; j < d; j++ {
+					if j != p.Axis {
+						k = append(k, c.AbsCoord(g, j))
+					}
+				}
+				return k
+			}
+			for g := 1; g < c.NumCells(); g++ {
+				if slices.Compare(key(g-1), key(g)) >= 0 {
+					t.Fatalf("%s d=%d: cells %d %v and %d %v out of lattice order", name, d, g-1, key(g-1), g, key(g))
+				}
+			}
+			next := int32(0)
+			for s, owned := range p.Owned {
+				for i, g := range owned {
+					if g != next+int32(i) {
+						t.Fatalf("%s d=%d: Owned[%d] = %v is not a contiguous id range from %d", name, d, s, owned, next)
+					}
+				}
+				next += int32(len(owned))
 			}
 		}
 	}

@@ -36,7 +36,8 @@ type Partition struct {
 	Axis int
 	// ShardOf[g] is the shard owning cell g.
 	ShardOf []int32
-	// Owned[s] lists the cells owned by shard s, ascending.
+	// Owned[s] lists the cells owned by shard s, ascending. On a
+	// lattice-ordered construction (BuildGrid) it is a contiguous id range.
 	Owned [][]int32
 	// Halo[s] lists the cells within eps of shard s's owned cells but owned
 	// by other shards, ascending.
@@ -74,47 +75,27 @@ func MakePartition(ex *parallel.Pool, c *Cells, shards int) (*Partition, error) 
 		return p, nil
 	}
 
-	// Split axis: the one with the most distinct occupied coordinates
-	// (slabs), so the shard count clamps as little as possible — a sparse
-	// axis can span a huge coordinate range yet offer only a couple of
-	// slabs to cut between. Ties go to the wider span, then the lower axis.
-	// One parallel sort per axis; the partition cost stays well below one
-	// clustering phase.
-	axis, bestSlabs, bestSpan := 0, -1, int64(-1)
-	axCoords := make([]int64, numCells)
-	for j := 0; j < d; j++ {
-		ex.For(numCells, func(g int) { axCoords[g] = c.AbsCoord(g, j) })
-		prim.Sort(ex, axCoords, func(a, b int64) bool { return a < b })
-		slabsJ := 1
-		for i := 1; i < numCells; i++ {
-			if axCoords[i] != axCoords[i-1] {
-				slabsJ++
-			}
-		}
-		spanJ := axCoords[numCells-1] - axCoords[0]
-		if slabsJ > bestSlabs || (slabsJ == bestSlabs && spanJ > bestSpan) {
-			axis, bestSlabs, bestSpan = j, slabsJ, spanJ
-		}
-	}
+	// Split axis: the rule BuildGrid numbers its cells by, so on a
+	// lattice-ordered construction the order below is the identity and every
+	// shard is a contiguous id range.
+	widths := coordWidths(c.Coords, d)
+	axis, slabs := latticeAxis(ex, c.Coords, d, widths)
 	p.Axis = axis
 
 	// Order cells by (axis coordinate, cell index) and cut the order into
 	// point-balanced runs, never splitting cells that share an axis
 	// coordinate (shards must be coordinate intervals).
 	order := make([]int32, numCells)
-	ex.For(numCells, func(g int) { order[g] = int32(g) })
-	prim.Sort(ex, order, func(a, b int32) bool {
-		ca, cb := c.AbsCoord(int(a), axis), c.AbsCoord(int(b), axis)
-		if ca != cb {
-			return ca < cb
-		}
-		return a < b
+	keys := make([]uint64, numCells)
+	ex.For(numCells, func(g int) {
+		order[g] = int32(g)
+		keys[g] = uint64(c.Coords[g*d+axis])
 	})
+	prim.RadixSortPairs(ex, keys, order, widths[axis])
 	totalPts := 0
 	for _, g := range order {
 		totalPts += c.CellSize(int(g))
 	}
-	slabs := bestSlabs // distinct coordinates on the chosen axis
 	if shards > slabs {
 		shards = slabs
 	}
@@ -141,7 +122,8 @@ func MakePartition(ex *parallel.Pool, c *Cells, shards int) (*Partition, error) 
 		p.Owned[s] = append(p.Owned[s], g)
 		cum += c.CellSize(int(g))
 	}
-	// Owned lists ascending by cell index (they were appended in axis order).
+	// Owned lists ascending by cell index (they were appended in axis order,
+	// which is index order already on a lattice-ordered construction).
 	ex.ForGrain(shards, 1, func(s int) { slices.Sort(p.Owned[s]) })
 
 	// Halo and boundary, per shard: scan owned cells' neighbor lists for
