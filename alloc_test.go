@@ -15,7 +15,7 @@ import (
 // pre-arena counts, so any reintroduced per-pair or per-cell allocation
 // fails immediately.
 //
-// Both tests run with Workers: 1 — allocation counts are deterministic for a
+// The serial tests run with Workers: 1 — allocation counts are deterministic for a
 // serial run, while parallel runs add goroutine/closure allocations that
 // vary with GOMAXPROCS.
 //
@@ -38,32 +38,46 @@ const (
 )
 
 // TestClustererRunAllocBudget pins the steady-state allocation count of
-// repeated Clusterer.Run calls on a warmed Clusterer.
+// repeated Clusterer.Run calls on a warmed Clusterer, in 2D and in 3D. The
+// 3D layout's small cells see ~70 neighbors each, so MarkCore orders their
+// lists with the counting sort: its pooled buffers must not allocate per
+// cell either.
 func TestClustererRunAllocBudget(t *testing.T) {
-	pts, err := dataset.Generate("ss-varden-2d", 100000, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewClustererFlat(pts.Data, pts.D, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{MinPts: 100, Method: Method2DGridBCP, Workers: 1, Shards: 1}
-	res, err := c.Run(cfg) // warm: lazy cell build + arena first fill
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NumClusters == 0 {
-		t.Fatal("degenerate dataset: no clusters, budget would be meaningless")
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := c.Run(cfg); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("steady-state Clusterer.Run: %.0f allocs/op (budget %d)", allocs, batchRunAllocBudget)
-	if allocs > batchRunAllocBudget {
-		t.Errorf("steady-state Clusterer.Run allocated %.0f times, budget is %d", allocs, batchRunAllocBudget)
+	for _, tc := range []struct {
+		dataset string
+		eps     float64
+		method  Method
+	}{
+		{"ss-varden-2d", 1000, Method2DGridBCP},
+		{"ss-varden-3d", 2000, MethodExact},
+	} {
+		t.Run(tc.dataset, func(t *testing.T) {
+			pts, err := dataset.Generate(tc.dataset, 100000, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := NewClustererFlat(pts.Data, pts.D, tc.eps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{MinPts: 100, Method: tc.method, Workers: 1, Shards: 1}
+			res, err := c.Run(cfg) // warm: lazy cell build + arena first fill
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.NumClusters == 0 {
+				t.Fatal("degenerate dataset: no clusters, budget would be meaningless")
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				if _, err := c.Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("steady-state Clusterer.Run: %.0f allocs/op (budget %d)", allocs, batchRunAllocBudget)
+			if allocs > batchRunAllocBudget {
+				t.Errorf("steady-state Clusterer.Run allocated %.0f times, budget is %d", allocs, batchRunAllocBudget)
+			}
+		})
 	}
 }
 

@@ -143,13 +143,14 @@ type Engine struct {
 	maxQueue     int
 	queueTimeout time.Duration
 
-	mu      sync.Mutex
-	queue   jobQueue
-	avail   int // budget not held by running jobs
-	running int
-	seq     uint64
-	closed  bool
-	wg      sync.WaitGroup // running job goroutines
+	mu         sync.Mutex
+	queue      jobQueue
+	avail      int // budget not held by running jobs
+	running    int
+	seq        uint64
+	dispatched uint64 // jobs started so far; the latest one's JobStats.Dispatch
+	closed     bool
+	wg         sync.WaitGroup // running job goroutines
 
 	submitted, completed, cancelled, rejected, timedOut, closedJobs, failed uint64
 }
@@ -280,6 +281,8 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Job, error) {
 func (e *Engine) startLocked(j *Job) {
 	e.avail -= j.workers
 	e.running++
+	e.dispatched++
+	j.dispatch = e.dispatched
 	j.started = time.Now()
 	j.queuedFor = j.started.Sub(j.submitted)
 	if j.timer != nil {
@@ -444,9 +447,10 @@ type Job struct {
 
 	// started/queuedFor are written under e.mu by exactly one of startLocked,
 	// finishQueued, or Close (the queue-exit paths are mutually exclusive via
-	// idx/closed); ranFor, res, sres, and err are written by the completing
-	// goroutine before done is closed (the close is the happens-before edge
-	// readers synchronize on).
+	// idx/closed), and dispatch by startLocked alone; ranFor, res, sres, and
+	// err are written by the completing goroutine before done is closed (the
+	// close is the happens-before edge readers synchronize on).
+	dispatch  uint64
 	started   time.Time
 	queuedFor time.Duration
 	ranFor    time.Duration
@@ -494,12 +498,16 @@ type JobStats struct {
 	Queued time.Duration
 	// Run is the execution time (0 if the job never ran).
 	Run time.Duration
+	// Dispatch is the job's place in the Engine's dispatch order: 1 for the
+	// first job the Engine started, 2 for the second, and so on; 0 if the
+	// job never ran.
+	Dispatch uint64
 }
 
 // Stats blocks until the job completes and returns its scheduling stats.
 func (j *Job) Stats() JobStats {
 	<-j.done
-	return JobStats{Workers: j.workers, Queued: j.queuedFor, Run: j.ranFor}
+	return JobStats{Workers: j.workers, Queued: j.queuedFor, Run: j.ranFor, Dispatch: j.dispatch}
 }
 
 // jobQueue is the priority queue of waiting jobs: higher Priority first,

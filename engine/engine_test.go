@@ -218,15 +218,14 @@ func TestEnginePriorityOrder(t *testing.T) {
 			t.Fatalf("job err: %v", err)
 		}
 	}
-	// All three were submitted back-to-back while saturated, so queue-wait
-	// ordering is dispatch ordering: the high-priority job first, then the
-	// equal-priority pair in FIFO order.
-	hq, l1q, l2q := high.Stats().Queued, low1.Stats().Queued, low2.Stats().Queued
-	if hq >= l1q || hq >= l2q {
-		t.Fatalf("high-priority job waited %v, low jobs %v / %v — priority not honored", hq, l1q, l2q)
+	// The blocker was dispatch 1; the high-priority job must start next,
+	// then the equal-priority pair in FIFO order.
+	hd, l1d, l2d := high.Stats().Dispatch, low1.Stats().Dispatch, low2.Stats().Dispatch
+	if hd >= l1d || hd >= l2d {
+		t.Fatalf("high-priority job was dispatch #%d, low jobs #%d / #%d — priority not honored", hd, l1d, l2d)
 	}
-	if l1q >= l2q {
-		t.Fatalf("equal-priority jobs dispatched out of FIFO order: first waited %v, second %v", l1q, l2q)
+	if l1d >= l2d {
+		t.Fatalf("equal-priority jobs dispatched out of FIFO order: first was #%d, second #%d", l1d, l2d)
 	}
 }
 

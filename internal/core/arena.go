@@ -61,10 +61,13 @@ type workerScratch struct {
 	found     []int32   // clusterBorder: distinct cluster labels of one point
 	sure      []int32   // clusterBorder: labels certain for a whole cell
 	cand      []int32   // clusterBorder: cells needing per-point scans
-	nbrOrder  []int32   // markCellCore: neighbor cells, ascending box distance
-	nbrDist   []float64 // markCellCore: the distances of nbrOrder
+	nbrOrder  []int32   // markCellCore: prefiltered neighbor cells (sorted in place for box cells)
+	nbrDist   []float64 // markCellCore (box cells): the box distances of nbrOrder
+	nbrKey    []int32   // markCellCore (grid cells): the lattice keys of nbrOrder
+	nbrBucket []int32   // markCellCore (grid cells): counting-sort bucket starts
+	nbrSorted []int32   // markCellCore (grid cells): nbrOrder in lattice-key order
 	cellOrder []int32   // runShards: per-shard size-sorted owned core cells
-	sorter    nbrSorter // markCellCore: allocation-free sort.Sort adapter
+	sorter    nbrSorter // sortNeighborsByDist: allocation-free sort.Sort adapter
 
 	kthHeap   []float64    // cellCoreDistances: bounded max-heap of the k smallest d2
 	mrEdges   []MREdge     // mrEdgeParts: per-block candidate edge buffer

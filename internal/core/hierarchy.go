@@ -130,7 +130,7 @@ func (st *pipeline) coreDistances() []float64 {
 }
 
 // cellCoreDistances fills cd2 for the rows of cell g. Neighbor cells are
-// ordered by ascending box-box distance (as in markCellCore) so that once a
+// ordered by ascending box-box distance (orderByBoxDist) so that once a
 // point's bounded max-heap is full, any cell whose box lies beyond the
 // current k-th distance — and every cell after it — can be skipped.
 func (st *pipeline) cellCoreDistances(g int, ws *workerScratch, cd2 []float64) {
@@ -139,18 +139,8 @@ func (st *pipeline) cellCoreDistances(g int, ws *workerScratch, cd2 []float64) {
 	eps2 := st.eps2
 	pts := c.RowsOf(g)
 
-	ord := ws.nbrOrder[:0]
-	dist := ws.nbrDist[:0]
-	for _, h := range c.Neighbors[g] {
-		d2 := st.k.BoxBoxDistSqAt(c.BBLo, c.BBHi, int32(g), h)
-		if d2 > eps2 {
-			continue
-		}
-		ord = append(ord, h)
-		dist = append(dist, d2)
-	}
-	sortNeighborsByDist(ws, ord, dist)
-	ws.nbrOrder, ws.nbrDist = ord, dist // keep grown capacity
+	ord := st.orderByBoxDist(g, ws)
+	dist := ws.nbrDist // the box distances of ord
 
 	for _, p := range pts {
 		h := ws.kthHeap[:0]

@@ -177,6 +177,10 @@ type pipeline struct {
 	// Lazy per-cell USEC state (2D): core points sorted by x and by y, and
 	// the four directional envelopes.
 	usecCells []usecCell
+
+	// Grid cells only: the lattice reach and the L1-offset span d·reach+1
+	// that latticeKey ranks neighbors by.
+	latticeReach, latticeSpan int
 }
 
 type lazyTree struct {
@@ -222,6 +226,10 @@ func newPipeline(cells *grid.Cells, p Params) *pipeline {
 		cells: cells, p: p, eps: cells.Eps, eps2: cells.Eps * cells.Eps,
 		ex: p.Exec, k: geom.NewKernel(pts), arena: p.Arena, rs: p.Arena.getRun(),
 		pts: pts,
+	}
+	if cells.Coords != nil {
+		st.latticeReach = cells.LatticeReach()
+		st.latticeSpan = cells.Pts.D*st.latticeReach + 1
 	}
 	st.phaseClock.p = &st.p
 	return st

@@ -10,11 +10,13 @@ import "math"
 // cell pair), then a tight scalar loop.
 //
 // Every method is bit-identical to its generic counterpart (DistSq,
-// PointBoxDistSq, BoxBoxDistSq): the specialized forms accumulate terms in
-// the same dimension order with the same operations, and Go never contracts
-// float64 expressions into FMAs, so specialization can never change a
-// clustering result. The kernel equivalence suite (kernel_test.go) pins this
-// bit-for-bit across adversarial coordinates.
+// PointBoxDistSq, BoxBoxDistSq) on amd64: the specialized forms accumulate
+// terms in the same dimension order with the same operations, and the amd64
+// compiler emits no fused multiply-adds for them, so specialization cannot
+// change a clustering result there. The arm64 compiler does fuse x*y+z, so
+// there the forms may round differently. The kernel equivalence suite
+// (kernel_test.go) pins bit-identity across adversarial coordinates; CI runs
+// it on amd64 only.
 //
 // A Kernel is two words (a dims tag and the data pointer); pass it by value.
 type Kernel struct {
@@ -42,9 +44,6 @@ func NewGenericKernel(pts Points) Kernel {
 
 // Dims returns the dimensionality of the underlying points.
 func (k Kernel) Dims() int { return k.d }
-
-// Specialized reports whether the kernel dispatches to an unrolled form.
-func (k Kernel) Specialized() bool { return k.dims != 0 }
 
 // DistSq returns the squared Euclidean distance between points a and b by
 // index.
@@ -265,17 +264,39 @@ func (k Kernel) AnyPairWithin(as, bs []int32, eps2 float64) bool {
 // form of CountWithin: when the payload is laid out cell-by-cell the
 // candidate list of a cell is exactly a row range, and the scan walks the
 // backing array sequentially instead of gathering through an index list. The
-// per-pair arithmetic and iteration order match CountWithin over the rows
-// [lo, lo+1, ..., hi-1] exactly, so the two forms are bit-identical.
+// per-pair arithmetic matches CountWithin over the rows [lo, lo+1, ...,
+// hi-1] exactly, and so does the result: need once that many qualify,
+// otherwise the full count. The two forms are bit-identical.
+//
+// In 2D and 3D the scan takes blocks of countBlock rows: each distance test
+// adds its outcome as a 0/1 increment, with no branch per row, and need is
+// checked once per block. A block may count past need; the result is capped
+// to need all the same. The tail shorter than a block runs row by row.
 func (k Kernel) CountWithinRange(q, lo, hi int32, eps2 float64, need int) int {
+	stop := need
+	if stop <= 0 {
+		stop = math.MaxInt
+	}
 	count := 0
 	switch k.dims {
 	case 2:
 		iq := int(q) * 2
 		qx, qy := k.data[iq], k.data[iq+1]
-		for ip := int(lo) * 2; ip < int(hi)*2; ip += 2 {
-			dx := qx - k.data[ip]
-			dy := qy - k.data[ip+1]
+		rows := k.data[int(lo)*2 : int(hi)*2]
+		for ; len(rows) >= 2*countBlock; rows = rows[2*countBlock:] {
+			dx0, dy0 := qx-rows[0], qy-rows[1]
+			dx1, dy1 := qx-rows[2], qy-rows[3]
+			dx2, dy2 := qx-rows[4], qy-rows[5]
+			dx3, dy3 := qx-rows[6], qy-rows[7]
+			count += b2i(dx0*dx0+dy0*dy0 <= eps2) + b2i(dx1*dx1+dy1*dy1 <= eps2) +
+				b2i(dx2*dx2+dy2*dy2 <= eps2) + b2i(dx3*dx3+dy3*dy3 <= eps2)
+			if count >= stop {
+				return need
+			}
+		}
+		for ; len(rows) >= 2; rows = rows[2:] {
+			dx := qx - rows[0]
+			dy := qy - rows[1]
 			if dx*dx+dy*dy <= eps2 {
 				count++
 				if count == need {
@@ -286,10 +307,22 @@ func (k Kernel) CountWithinRange(q, lo, hi int32, eps2 float64, need int) int {
 	case 3:
 		iq := int(q) * 3
 		qx, qy, qz := k.data[iq], k.data[iq+1], k.data[iq+2]
-		for ip := int(lo) * 3; ip < int(hi)*3; ip += 3 {
-			dx := qx - k.data[ip]
-			dy := qy - k.data[ip+1]
-			dz := qz - k.data[ip+2]
+		rows := k.data[int(lo)*3 : int(hi)*3]
+		for ; len(rows) >= 3*countBlock; rows = rows[3*countBlock:] {
+			dx0, dy0, dz0 := qx-rows[0], qy-rows[1], qz-rows[2]
+			dx1, dy1, dz1 := qx-rows[3], qy-rows[4], qz-rows[5]
+			dx2, dy2, dz2 := qx-rows[6], qy-rows[7], qz-rows[8]
+			dx3, dy3, dz3 := qx-rows[9], qy-rows[10], qz-rows[11]
+			count += b2i(dx0*dx0+dy0*dy0+dz0*dz0 <= eps2) + b2i(dx1*dx1+dy1*dy1+dz1*dz1 <= eps2) +
+				b2i(dx2*dx2+dy2*dy2+dz2*dz2 <= eps2) + b2i(dx3*dx3+dy3*dy3+dz3*dz3 <= eps2)
+			if count >= stop {
+				return need
+			}
+		}
+		for ; len(rows) >= 3; rows = rows[3:] {
+			dx := qx - rows[0]
+			dy := qy - rows[1]
+			dz := qz - rows[2]
 			if dx*dx+dy*dy+dz*dz <= eps2 {
 				count++
 				if count == need {
@@ -308,6 +341,18 @@ func (k Kernel) CountWithinRange(q, lo, hi int32, eps2 float64, need int) int {
 		}
 	}
 	return count
+}
+
+// countBlock is the block length of CountWithinRange's 2D and 3D scans.
+const countBlock = 4
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag move,
+// not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // AnyWithinRange reports whether any point of the contiguous row range
@@ -497,6 +542,55 @@ func (k Kernel) PointBoxDistSqAt(p int32, los, his []float64, g int32) float64 {
 	}
 	d := k.d
 	return PointBoxDistSq(k.data[int(p)*d:int(p)*d+d], los[int(g)*d:int(g)*d+d], his[int(g)*d:int(g)*d+d])
+}
+
+// PointBoxMinMaxDistSqAt returns the squared minimum and maximum distances
+// from point p to the box of slot g in the flat per-slot box arrays (box g
+// occupies los[g*d:(g+1)*d]): the bounds, for every point inside the box, of
+// its squared distance to p. mn is bit-identical to PointBoxDistSq and mx to
+// BoxMaxDistSq over the same box; one call computes both, sharing the loads
+// and the per-axis differences.
+func (k Kernel) PointBoxMinMaxDistSqAt(p int32, los, his []float64, g int32) (mn, mx float64) {
+	switch k.dims {
+	case 2:
+		ip, ig := int(p)*2, int(g)*2
+		q, lo, hi := k.data[ip:ip+2:ip+2], los[ig:ig+2:ig+2], his[ig:ig+2:ig+2]
+		n0, x0 := boxTerms(q[0], lo[0], hi[0])
+		n1, x1 := boxTerms(q[1], lo[1], hi[1])
+		return n0 + n1, x0 + x1
+	case 3:
+		ip, ig := int(p)*3, int(g)*3
+		q, lo, hi := k.data[ip:ip+3:ip+3], los[ig:ig+3:ig+3], his[ig:ig+3:ig+3]
+		n0, x0 := boxTerms(q[0], lo[0], hi[0])
+		n1, x1 := boxTerms(q[1], lo[1], hi[1])
+		n2, x2 := boxTerms(q[2], lo[2], hi[2])
+		return n0 + n1 + n2, x0 + x1 + x2
+	}
+	d := k.d
+	q, lo, hi := k.data[int(p)*d:int(p)*d+d], los[int(g)*d:int(g)*d+d], his[int(g)*d:int(g)*d+d]
+	for j, v := range q {
+		n, x := boxTerms(v, lo[j], hi[j])
+		mn += n
+		mx += x
+	}
+	return mn, mx
+}
+
+// boxTerms returns one axis's terms of PointBoxMinMaxDistSqAt: the squared
+// gap from v to [l, h] (+0 inside, so adding it changes no sum) and the
+// squared larger distance to an end. The terms are those PointBoxDistSq and
+// BoxMaxDistSq add: |v−l| and l−v round to the same value.
+func boxTerms(v, l, h float64) (mn, mx float64) {
+	a, b := math.Abs(v-l), math.Abs(v-h)
+	if v < l {
+		mn = a * a
+	} else if v > h {
+		mn = b * b
+	}
+	if b > a {
+		a = b
+	}
+	return mn, a * a
 }
 
 // BoxMaxDistSq returns the squared maximum distance from coordinate row q to

@@ -70,8 +70,8 @@ func TestKernelEquivalence(t *testing.T) {
 		pts := kernelPts(t, d, rng)
 		k := NewKernel(pts)
 		gk := NewGenericKernel(pts)
-		if (k.Specialized()) != (d == 2 || d == 3) {
-			t.Fatalf("d=%d: Specialized() = %v", d, k.Specialized())
+		if (k.dims != 0) != (d == 2 || d == 3) {
+			t.Fatalf("d=%d: NewKernel dispatch tag = %d", d, k.dims)
 		}
 
 		n := int32(pts.N)
@@ -127,9 +127,12 @@ func TestKernelEquivalence(t *testing.T) {
 						los[h*int32(d):(h+1)*int32(d)], his[h*int32(d):(h+1)*int32(d)]), want)
 			}
 			p := int32(rng.Intn(int(n)))
+			glo, ghi := los[g*int32(d):(g+1)*int32(d)], his[g*int32(d):(g+1)*int32(d)]
 			requireBitsEqual(t, "PointBoxDistSqAt",
-				k.PointBoxDistSqAt(p, los, his, g),
-				PointBoxDistSq(pts.At(int(p)), los[g*int32(d):(g+1)*int32(d)], his[g*int32(d):(g+1)*int32(d)]))
+				k.PointBoxDistSqAt(p, los, his, g), PointBoxDistSq(pts.At(int(p)), glo, ghi))
+			mn, mx := k.PointBoxMinMaxDistSqAt(p, los, his, g)
+			requireBitsEqual(t, "PointBoxMinMaxDistSqAt min", mn, PointBoxDistSq(pts.At(int(p)), glo, ghi))
+			requireBitsEqual(t, "PointBoxMinMaxDistSqAt max", mx, BoxMaxDistSq(pts.At(int(p)), glo, ghi))
 		}
 	}
 }
@@ -253,4 +256,77 @@ func FuzzKernelEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCountWithinRangeBlockEdges pins the blocked 2D/3D scans of
+// CountWithinRange at every range length across a block of four, and at
+// every need from 0 (count all) to past the count, against CountWithin over
+// the same rows and a brute-force count capped at need. Coordinates sit on a
+// small integer lattice and eps2 runs over the lattice's squared distances,
+// so many pairs lie exactly at eps. It also pins PointBoxMinMaxDistSqAt to
+// PointBoxDistSq and BoxMaxDistSq bit for bit on lattice-aligned boxes,
+// including points on a box face or corner.
+func TestCountWithinRangeBlockEdges(t *testing.T) {
+	for _, d := range []int{2, 3, 5} {
+		rng := rand.New(rand.NewSource(200 + int64(d)))
+		const n = 64
+		data := make([]float64, n*d)
+		for i := range data {
+			data[i] = float64(rng.Intn(4))
+		}
+		pts := Points{N: n, D: d, Data: data}
+		k := NewKernel(pts)
+		for length := 0; length <= 13; length++ {
+			for trial := 0; trial < 20; trial++ {
+				lo := int32(rng.Intn(n - length + 1))
+				hi := lo + int32(length)
+				rows := make([]int32, 0, length)
+				for r := lo; r < hi; r++ {
+					rows = append(rows, r)
+				}
+				q := int32(rng.Intn(n))
+				eps2 := float64(rng.Intn(d + 2))
+				full := 0
+				for _, r := range rows {
+					if DistSq(pts.At(int(q)), pts.At(int(r))) <= eps2 {
+						full++
+					}
+				}
+				for need := 0; need <= length+1; need++ {
+					want := full
+					if need > 0 {
+						want = min(full, need)
+					}
+					got := k.CountWithinRange(q, lo, hi, eps2, need)
+					if got != want {
+						t.Fatalf("d=%d len=%d need=%d eps2=%v: CountWithinRange = %d, want %d", d, length, need, eps2, got, want)
+					}
+					if gl := k.CountWithin(q, rows, eps2, need); gl != got {
+						t.Fatalf("d=%d len=%d need=%d eps2=%v: CountWithin = %d, CountWithinRange = %d", d, length, need, eps2, gl, got)
+					}
+				}
+			}
+		}
+
+		// Boxes spanned by lattice points; queries from the same lattice
+		// land inside, on faces and corners, and outside.
+		const slots = 32
+		los := make([]float64, slots*d)
+		his := make([]float64, slots*d)
+		for s := 0; s < slots; s++ {
+			a, b := pts.At(rng.Intn(n)), pts.At(rng.Intn(n))
+			for j := 0; j < d; j++ {
+				los[s*d+j] = math.Min(a[j], b[j])
+				his[s*d+j] = math.Max(a[j], b[j])
+			}
+		}
+		for g := int32(0); g < slots; g++ {
+			lo, hi := los[int(g)*d:int(g+1)*d], his[int(g)*d:int(g+1)*d]
+			for p := int32(0); p < n; p++ {
+				mn, mx := k.PointBoxMinMaxDistSqAt(p, los, his, g)
+				requireBitsEqual(t, "PointBoxMinMaxDistSqAt min", mn, PointBoxDistSq(pts.At(int(p)), lo, hi))
+				requireBitsEqual(t, "PointBoxMinMaxDistSqAt max", mx, BoxMaxDistSq(pts.At(int(p)), lo, hi))
+			}
+		}
+	}
 }

@@ -520,6 +520,14 @@ func (c *Cells) axisReach(pruneBound float64) int64 {
 	return m
 }
 
+// LatticeReach returns the largest lattice offset along one axis between
+// two neighboring grid cells: axisReach at the prune bound the neighbor
+// searches use.
+func (c *Cells) LatticeReach() int {
+	eps2 := c.Eps * c.Eps * (1 + 1e-12)
+	return int(c.axisReach(eps2 * (1 + 1e-9)))
+}
+
 // enumNeighborsOf returns the cells that could contain points within eps of
 // the grid cube at absolute lattice coordinates abs, by enumerating all
 // integer coordinate offsets within axisReach per axis and looking each one
