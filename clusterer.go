@@ -36,11 +36,11 @@ type Clusterer struct {
 	grid lazyCells // grid layout (Section 4.1), any dimension
 	box  lazyCells // box layout (Section 4.2), 2D methods only
 
-	// parts caches the spatial partitions of the grid layout by shard
-	// count: like the cells they cut, they depend only on the points and
-	// eps, so a sweep of sharded Runs pays MakePartition's sorts once.
+	// parts caches the spatial partitions by (cells, shard count): like the
+	// cells they cut, they depend only on the points and eps, so a sweep of
+	// Runs pays MakePartition's sorts once.
 	partMu sync.Mutex
-	parts  map[int]*grid.Partition
+	parts  map[partKey]*grid.Partition
 
 	// samples caches the sampled-core masks by (sampler, fraction, seed):
 	// a mask depends only on the points and those three knobs, so a sweep of
@@ -143,7 +143,7 @@ func validateBudgetConfig(cfg *Config) error {
 		return fmt.Errorf("pdbscan: Workers must be >= 0, got %d (0 means all CPUs)", cfg.Workers)
 	}
 	if cfg.Shards < 0 {
-		return fmt.Errorf("pdbscan: Shards must be >= 0, got %d (0 means auto, 1 forces the monolithic path)", cfg.Shards)
+		return fmt.Errorf("pdbscan: Shards must be >= 0, got %d (0 means auto, 1 forces one shard)", cfg.Shards)
 	}
 	return nil
 }
@@ -306,13 +306,22 @@ func (c *Clusterer) sampleFor(cfg *Config, ex *parallel.Pool) ([]bool, error) {
 	return mask, nil
 }
 
-// partitionFor returns the cached partition of the grid cells for the given
+// partKey identifies one cached partition: the cells it cuts (one layout's
+// published structure) and the requested shard count. Both layouts have a
+// one-shard partition, so the shard count alone does not name one.
+type partKey struct {
+	cells  *grid.Cells
+	shards int
+}
+
+// partitionFor returns the cached partition of the given cells for the given
 // shard count, building it on first use. Partitions are immutable once
 // built; the lock only serializes construction.
 func (c *Clusterer) partitionFor(cells *grid.Cells, shards int, ex *parallel.Pool) (*grid.Partition, error) {
+	key := partKey{cells, shards}
 	c.partMu.Lock()
 	defer c.partMu.Unlock()
-	if p, ok := c.parts[shards]; ok {
+	if p, ok := c.parts[key]; ok {
 		return p, nil
 	}
 	p, err := grid.MakePartition(ex, cells, shards)
@@ -324,9 +333,9 @@ func (c *Clusterer) partitionFor(cells *grid.Cells, shards int, ex *parallel.Poo
 		return nil, err
 	}
 	if c.parts == nil {
-		c.parts = make(map[int]*grid.Partition)
+		c.parts = make(map[partKey]*grid.Partition)
 	}
-	c.parts[shards] = p
+	c.parts[key] = p
 	return p, nil
 }
 
@@ -456,11 +465,11 @@ func (c *Clusterer) RunContext(ctx context.Context, cfg Config) (res *Result, er
 		}
 	}
 	total := time.Since(start)
-	phases := tm.Mark + tm.Collect + tm.Graph + tm.Merge + tm.Label + tm.Border
+	phases := tm.Mark + tm.Graph + tm.Merge + tm.Label + tm.Border
 	c.statsMu.Lock()
 	c.lastStats = RunStats{
 		MarkCore:           tm.Mark,
-		ClusterCore:        tm.Collect + tm.Graph + tm.Merge,
+		ClusterCore:        tm.Graph + tm.Merge,
 		Border:             tm.Label + tm.Border,
 		Build:              total - phases,
 		Total:              total,
@@ -479,8 +488,8 @@ func (c *Clusterer) RunContext(ctx context.Context, cfg Config) (res *Result, er
 	}, nil
 }
 
-// runInRAM runs the in-RAM paths (monolithic or sharded) over this
-// Clusterer's cell structure and reports the effective shard count.
+// runInRAM runs the sharded executor over this Clusterer's cell structure
+// and reports the effective shard count.
 func (c *Clusterer) runInRAM(ex *parallel.Pool, cfg *Config, params core.Params, useBox bool) (*core.Result, int, error) {
 	if c.store != nil {
 		if err := c.ensureMapped(); err != nil {
@@ -494,32 +503,18 @@ func (c *Clusterer) runInRAM(ex *parallel.Pool, cfg *Config, params core.Params,
 		}
 		params.Sample = mask
 	}
+	// A cut needs the anchored lattice, so a multi-shard run is served by
+	// the grid layout — 2d-box-* methods keep their connectivity strategy
+	// (identical clustering; see Config.Shards). One shard takes any layout.
 	shards := resolveShards(cfg, c.pts.N)
-	if shards <= 1 {
-		cells, err := c.cellsFor(useBox, ex)
-		if err != nil {
-			return nil, 0, err
-		}
-		cres, err := core.Run(cells, params)
-		return cres, 1, err
-	}
-	// The sharded path cuts the anchored lattice, so it always runs on the
-	// grid layout — 2d-box-* methods keep their connectivity strategy but
-	// are served by grid cells (identical clustering; see Config.Shards).
-	cells, err := c.cellsFor(false, ex)
+	useBox = useBox && shards == 1
+	cells, err := c.cellsFor(useBox, ex)
 	if err != nil {
 		return nil, 0, err
 	}
 	part, err := c.partitionFor(cells, shards, ex)
 	if err != nil {
 		return nil, 0, err
-	}
-	if part.NumShards <= 1 {
-		// The occupied lattice offered nothing to cut (a single slab on
-		// every axis); the monolithic phases parallelize better than a
-		// one-shard run would.
-		cres, err := core.Run(cells, params)
-		return cres, 1, err
 	}
 	cres, err := core.RunSharded(cells, params, part)
 	return cres, part.NumShards, err

@@ -98,6 +98,44 @@ func TestClustererReusesCellStructure(t *testing.T) {
 	}
 }
 
+// TestClustererPartitionCacheByLayout alternates a box-layout and a
+// grid-layout method through one Clusterer, at one shard and then at two.
+// Both layouts have a one-shard partition, so the partition cache must tell
+// them apart: every result must equal a fresh Clusterer's.
+func TestClustererPartitionCacheByLayout(t *testing.T) {
+	rows := blobs(2000, 2, 29)
+	const eps = 2.5
+	c, err := NewClusterer(rows, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2} {
+		for round := 0; round < 2; round++ {
+			for _, m := range []Method{Method2DBoxBCP, Method2DGridBCP} {
+				cfg := Config{MinPts: 6, Method: m, Shards: shards}
+				got, err := c.Run(cfg)
+				if err != nil {
+					t.Fatalf("%s shards=%d round %d: %v", m, shards, round, err)
+				}
+				if s := c.LastRunStats().Shards; s != shards {
+					t.Fatalf("%s shards=%d: ran with %d shards", m, shards, s)
+				}
+				fresh, err := NewClusterer(rows, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := fresh.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := labelsEqual(got, want); err != nil {
+					t.Fatalf("%s shards=%d round %d: shared Clusterer vs fresh: %v", m, shards, round, err)
+				}
+			}
+		}
+	}
+}
+
 // TestClustererPrepare checks that Prepare builds the layout eagerly (with
 // its own budget) and that subsequent Runs reuse it.
 func TestClustererPrepare(t *testing.T) {

@@ -30,11 +30,11 @@
 // Cluster and Clusterer.Run calls may run concurrently — each honors its own
 // Workers budget.
 //
-// At scale, runs execute through a sharded partition/merge architecture: the
+// Every batch run executes through one sharded partition/merge executor: the
 // cell lattice is cut into contiguous spatial shards clustered independently
-// and stitched by a boundary-merge pass. Config.Shards controls it (0 = auto
-// from the point count and worker budget); results are identical to the
-// monolithic path for every method.
+// and stitched by a boundary-merge pass. Config.Shards controls the cut (0 =
+// auto from the point count and worker budget); results are identical at
+// every shard count, one included, for every method.
 package pdbscan
 
 import (
@@ -167,23 +167,25 @@ type Config struct {
 	// Workers caps the number of OS-level workers used by parallel loops;
 	// 0 means all available CPUs.
 	Workers int
-	// Shards selects the sharded execution path: the anchored cell lattice
-	// is split into Shards contiguous spatial blocks with eps-wide halos,
-	// each block is clustered independently, and a boundary-merge pass
-	// stitches the blocks by evaluating only the cell-graph edges that cross
-	// a cut. Results are identical to the monolithic path (Shards = 1) for
-	// every method, exact and approximate, up to cluster label permutation —
-	// and bit-identical whenever the method runs on the grid layout.
+	// Shards is the number of shards a batch run cuts its cells into: the
+	// anchored cell lattice is split into Shards contiguous spatial blocks
+	// with eps-wide halos, each block is clustered independently, and a
+	// boundary-merge pass stitches the blocks by evaluating only the
+	// cell-graph edges that cross a cut. One shard cuts nothing and runs each
+	// phase as a parallel loop over every cell. Results are identical to the
+	// one-shard run (Shards = 1) for every method, exact and approximate, up
+	// to cluster label permutation — and bit-identical whenever the method
+	// runs on the grid layout.
 	//
 	// 0 means auto: batch runs (Cluster, Clusterer.Run) pick roughly one
 	// shard per 64k points, capped at 4x the worker budget and at 1 when
-	// Bucketing is set (sharding subsumes the bucketed traversal, so auto
-	// defers to the explicit scheduling request); StreamingClusterer.Run
-	// always resolves auto to 1, because a sharded run cannot reuse the
-	// incremental caches — set Shards explicitly to shard a streaming run,
-	// accepting a full recompute. 1 forces the monolithic path. The count is
-	// clamped to the occupied lattice (a shard cannot be thinner than one
-	// cell slab). Negative values are rejected.
+	// Bucketing is set (Bucketing batches a one-shard run's cell graph; a
+	// multi-shard run ignores it, so auto defers to the explicit scheduling
+	// request); StreamingClusterer.Run always resolves auto to 1, because a
+	// sharded run cannot reuse the incremental caches — set Shards
+	// explicitly to shard a streaming run, accepting a full recompute. The
+	// count is clamped to the occupied lattice (a shard cannot be thinner
+	// than one cell slab). Negative values are rejected.
 	//
 	// The 2d-box-* methods are served by the grid cell layout when
 	// Shards > 1 (the box strips have no lattice to cut); the connectivity
@@ -202,7 +204,7 @@ type Config struct {
 	// at SampleFrac 0.1 in 2D and 3D). Results are deterministic for a
 	// fixed (Sampler, SampleFrac, SampleSeed) at any Workers count.
 	//
-	// Sampled runs are monolithic and batch-only: Shards must be 0 or 1
+	// Sampled runs take one shard and are batch-only: Shards must be 0 or 1
 	// (auto resolves to 1), and StreamingClusterer rejects samplers.
 	Sampler Sampler
 	// SampleFrac is the sampled fraction m/n, in (0, 1]; required when
@@ -279,7 +281,7 @@ func (cfg *Config) Validate() error {
 			return fmt.Errorf("pdbscan: SampleFrac must be in (0, 1] with Sampler %q, got %v", cfg.Sampler, cfg.SampleFrac)
 		}
 		if cfg.Shards > 1 {
-			return fmt.Errorf("pdbscan: sampled-core runs are monolithic; Shards must be 0 or 1 with Sampler %q, got %d", cfg.Sampler, cfg.Shards)
+			return fmt.Errorf("pdbscan: sampled-core runs take one shard; Shards must be 0 or 1 with Sampler %q, got %d", cfg.Sampler, cfg.Shards)
 		}
 	default:
 		return fmt.Errorf("pdbscan: unknown sampler %q", cfg.Sampler)
@@ -311,7 +313,7 @@ const autoShardPoints = 1 << 16
 // documented on Config.Shards.
 func resolveShards(cfg *Config, n int) int {
 	if cfg.Sampler != SamplerNone {
-		return 1 // sampled-core runs are monolithic (Validate rejects Shards > 1)
+		return 1 // sampled-core runs take one shard (Validate rejects Shards > 1)
 	}
 	if cfg.Shards > 0 {
 		return cfg.Shards
@@ -431,17 +433,20 @@ type RunStats struct {
 	// per-window cells of every mapped window), partition cuts, validation,
 	// and result assembly.
 	Build time.Duration
-	// MarkCore is Algorithm 2 (core-point marking).
+	// MarkCore is Algorithm 2 (core-point marking) together with core
+	// collection: every batch run collects a cell's core points in the step
+	// that marks them.
 	MarkCore time.Duration
-	// ClusterCore covers core collection, the cell graph (Algorithm 3), and
-	// — on sharded runs — the boundary merge.
+	// ClusterCore covers the cell graph (Algorithm 3) and the boundary merge
+	// between shards (near zero on a one-shard run).
 	ClusterCore time.Duration
 	// Border covers dense label assignment and ClusterBorder (Algorithm 4).
 	Border time.Duration
 	// Total is the end-to-end wall time of the run.
 	Total time.Duration
-	// Shards is the effective shard count the run executed with (1 =
-	// monolithic).
+	// Shards is the effective shard count the run executed with: the
+	// requested or auto count clamped to the occupied lattice, or the
+	// store's shard count on a Spill run.
 	Shards int
 	// Workers is the effective worker budget of the run.
 	Workers int

@@ -11,9 +11,9 @@ import (
 // almost nothing in steady state. It holds two kinds of scratch:
 //
 //   - runScratch: the per-run phase buffers (per-cell core lists and their
-//     flat backing store, core bounding boxes, the size-sorted cell order,
-//     the union-find, lazy tree/USEC tables). Exactly one run checks a
-//     runScratch out for its whole duration and returns it at the end.
+//     flat backing store, core bounding boxes, the union-find, lazy
+//     tree/USEC tables). Exactly one run checks a runScratch out for its
+//     whole duration and returns it at the end.
 //
 //   - workerScratch: the small per-worker buffers of the parallel hot loops
 //     (BCP filter outputs, border label sets, distance-ordered neighbor
@@ -48,7 +48,6 @@ type runScratch struct {
 	coreStore []int32 // flat backing for small-cell core lists, cell g's region at CellStart[g]
 	coreBBLo  []float64
 	coreBBHi  []float64
-	order     []int32 // size-sorted core cell traversal order
 	uf        unionfind.UF
 	allTrees  []lazyTree
 	coreTrees []lazyTree

@@ -32,39 +32,57 @@ func sameCoreResult(t *testing.T, got, want *Result, label string) {
 // each pipeline phase in turn and asserts (1) Run returns context.Canceled,
 // (2) the arena scratch the cancelled run released is reused cleanly — the
 // very next uncancelled run on the same arena returns exactly the baseline.
+// Besides grid cells it covers the inputs only a one-shard window takes: 2D
+// box cells, a sample mask, and the bucketed graph loop.
 func TestRunCancelAtEveryPhaseBoundary(t *testing.T) {
 	pts := clusteredPoints(6000, 2, 100, 42)
 	cells := buildGridCells(pts, 2.0)
-	arena := NewArena()
-	base := Params{MinPts: 10, Graph: GraphBCP, Arena: arena}
-	want, err := Run(cells, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, phase := range []string{"mark", "collect", "graph", "label", "border", "done"} {
-		ctx, cancel := context.WithCancel(context.Background())
-		p := base
-		p.Exec = parallel.NewPoolContext(ctx, 0)
-		p.PhaseHook = func(name string) {
-			if name == phase {
-				cancel()
-			}
-		}
-		res, err := Run(cells, p)
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancel at %q: err = %v, want context.Canceled", phase, err)
-		}
-		if res != nil {
-			t.Fatalf("cancel at %q: got a result alongside the error", phase)
-		}
-		// The next run reuses the scratch the cancelled run abandoned
-		// mid-phase; it must be indistinguishable from a clean run.
-		got, err := Run(cells, base)
+	box := grid.BuildBox2D(nil, pts, 2.0)
+	box.ComputeNeighborsBox2D(nil)
+	for _, in := range []struct {
+		name  string
+		cells *grid.Cells
+		p     Params
+	}{
+		{"grid", cells, Params{MinPts: 10, Graph: GraphBCP}},
+		{"box", box, Params{MinPts: 10, Graph: GraphBCP}},
+		{"sample", cells, Params{MinPts: 10, Graph: GraphBCP, Sample: UniformMask(nil, pts.N, 0.3, 5)}},
+		{"bucketing", cells, Params{MinPts: 10, Graph: GraphBCP, Bucketing: true, Buckets: 7}},
+	} {
+		base := in.p
+		base.Arena = NewArena()
+		want, err := Run(in.cells, base)
 		if err != nil {
-			t.Fatalf("run after cancel at %q: %v", phase, err)
+			t.Fatalf("%s: %v", in.name, err)
 		}
-		sameCoreResult(t, got, want, "run after cancel at "+phase)
+		if want.NumClusters == 0 {
+			t.Fatalf("%s: no clusters; the rerun check would be vacuous", in.name)
+		}
+		for _, phase := range []string{"mark", "graph", "merge", "label", "border", "done"} {
+			ctx, cancel := context.WithCancel(context.Background())
+			p := base
+			p.Exec = parallel.NewPoolContext(ctx, 0)
+			p.PhaseHook = func(name string) {
+				if name == phase {
+					cancel()
+				}
+			}
+			res, err := Run(in.cells, p)
+			cancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s cancel at %q: err = %v, want context.Canceled", in.name, phase, err)
+			}
+			if res != nil {
+				t.Fatalf("%s cancel at %q: got a result alongside the error", in.name, phase)
+			}
+			// The next run reuses the scratch the cancelled run abandoned
+			// mid-phase; it must be indistinguishable from a clean run.
+			got, err := Run(in.cells, base)
+			if err != nil {
+				t.Fatalf("%s run after cancel at %q: %v", in.name, phase, err)
+			}
+			sameCoreResult(t, got, want, in.name+" run after cancel at "+phase)
+		}
 	}
 }
 

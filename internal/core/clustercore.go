@@ -1,111 +1,22 @@
 package core
 
-import (
-	"pdbscan/internal/delaunay"
-	"pdbscan/internal/prim"
-)
+import "pdbscan/internal/delaunay"
 
 // connectFunc is a cell-pair connectivity predicate. The workerScratch
 // carries the caller's per-worker buffers for predicates that need scratch
 // (BCP's filtered point lists); predicates that don't ignore it.
 type connectFunc func(g, h int32, ws *workerScratch) bool
 
-// clusterCore implements Algorithm 3: build the cell graph over core cells,
-// maintaining connected components on the fly in a lock-free union-find so
-// that connectivity queries between already-connected cells are pruned, and
-// optionally processing cells in size-sorted batches (bucketing).
-func (st *pipeline) clusterCore() {
-	st.initUF(st.cells.NumCells())
-	if len(st.coreCells) == 0 {
-		return
-	}
-	if st.p.Graph == GraphDelaunay {
-		st.clusterCoreDelaunay()
-		return
-	}
-
-	connect := st.connectFn()
-
-	// SortBySize (Algorithm 3, line 3): non-increasing core-point count, so
-	// large cells connect their surroundings early and prune later queries.
-	st.rs.order = int32Buf(st.rs.order, len(st.coreCells))
-	order := st.rs.order
-	copy(order, st.coreCells)
-	prim.Sort(st.ex, order, st.coreSizeLess)
-
-	process := func(g int32, ws *workerScratch) {
-		for _, h := range st.cells.Neighbors[g] {
-			// Each unordered pair is examined by the higher-index cell.
-			if h >= g {
-				continue
-			}
-			st.processPair(g, h, connect, ws)
-		}
-	}
-
-	if st.p.Bucketing {
-		// Process the sorted cells in batches: sequential across batches,
-		// parallel within, so the pruning from earlier (larger) cells is
-		// visible to later batches (Section 4.4, bucketing).
-		nb := st.p.Buckets
-		if nb > len(order) {
-			nb = len(order)
-		}
-		bsize := (len(order) + nb - 1) / nb
-		for lo := 0; lo < len(order); lo += bsize {
-			if st.cancelled() {
-				return // partial union-find; Run bails at the phase boundary
-			}
-			hi := lo + bsize
-			if hi > len(order) {
-				hi = len(order)
-			}
-			batch := order[lo:hi]
-			st.ex.BlockedFor(len(batch), 1, func(lo, hi int) {
-				ws := st.getWS()
-				for i := lo; i < hi; i++ {
-					if st.cancelled() {
-						break
-					}
-					process(batch[i], ws)
-				}
-				st.putWS(ws)
-			})
-		}
-	} else {
-		st.ex.BlockedFor(len(order), 1, func(lo, hi int) {
-			ws := st.getWS()
-			for i := lo; i < hi; i++ {
-				if st.cancelled() {
-					break
-				}
-				process(order[i], ws)
-			}
-			st.putWS(ws)
-		})
-	}
-}
-
-// coreSizeLess is the SortBySize ordering of Algorithm 3: core-point count
-// descending, ties by cell index. One definition, shared by the monolithic
-// traversal and the per-shard sort, so the two paths cannot diverge.
+// coreSizeLess is the SortBySize ordering of Algorithm 3 (line 3): core-point
+// count descending, ties by cell index, so large cells connect their
+// surroundings early and prune later queries. The graph step sorts every
+// shard's owned core cells by it.
 func (st *pipeline) coreSizeLess(a, b int32) bool {
 	ca, cb := len(st.corePts[a]), len(st.corePts[b])
 	if ca != cb {
 		return ca > cb
 	}
 	return a < b
-}
-
-// coreSizeCmp is coreSizeLess as a slices.SortFunc comparison.
-func (st *pipeline) coreSizeCmp(a, b int32) int {
-	if st.coreSizeLess(a, b) {
-		return -1
-	}
-	if st.coreSizeLess(b, a) {
-		return 1
-	}
-	return 0
 }
 
 // connectFn returns the cell-pair connectivity predicate of the configured
@@ -138,12 +49,12 @@ func (st *pipeline) connectFn() connectFunc {
 // processPair evaluates the cell-graph edge between core cell g and its
 // neighbor h (in either cell order): skip non-core cells, filter by the core
 // bounding boxes, prune pairs already connected in the union-find, and union
-// on a positive connectivity answer. Shared verbatim by the monolithic batch
-// traversal and both sharded sources' intra-shard and cross-shard steps, so
-// every path applies the identical edge function. The predicate always sees
-// the cell with the higher global id first, as in the monolithic traversal:
-// the approximate query may answer differently in the two directions, so
-// every path must ask the same one.
+// on a positive connectivity answer. Shared verbatim by the intra-shard and
+// cross-shard steps of both sharded sources, so every batch path applies the
+// identical edge function. The predicate always sees the cell with the higher
+// global id first, as the incremental path's edge walk does: the approximate
+// query may answer differently in the two directions, so every path must ask
+// the same one.
 func (st *pipeline) processPair(g, h int32, connect connectFunc, ws *workerScratch) {
 	if len(st.corePts[g]) == 0 || len(st.corePts[h]) == 0 {
 		return // not a core cell pair
@@ -247,20 +158,14 @@ func (st *pipeline) approxConnected(g, h int32, _ *workerScratch) bool {
 	return false
 }
 
-// clusterCoreDelaunay implements the triangulation-based cell graph
-// (Section 4.4): triangulate all core points, keep inter-cell edges of
-// length at most eps (parallel filter), and union the endpoints' cells.
-func (st *pipeline) clusterCoreDelaunay() {
-	st.delaunayUnion(st.coreCells)
-}
-
-// delaunayUnion triangulates the core points of the given cells and unions
-// the cells joined by an inter-cell edge of length at most eps. The cell list
-// is the whole core-cell set for the monolithic path and one shard's owned
-// core cells for the sharded paths: the triangulation of any point subset
-// still contains its Euclidean MST, whose edges realize every eps-connection
-// within the subset, so per-shard triangulations plus exact cross-boundary
-// BCP edges reach exactly the exact-DBSCAN components.
+// delaunayUnion is the triangulation-based cell graph (Section 4.4): it
+// triangulates the core points of the given cells — one shard's owned core
+// cells, every core cell when the shard is the only one — keeps inter-cell
+// edges of length at most eps (parallel filter), and unions the endpoints'
+// cells. The triangulation of any point subset still contains its Euclidean
+// MST, whose edges realize every eps-connection within the subset, so
+// per-shard triangulations plus exact cross-boundary BCP edges reach exactly
+// the exact-DBSCAN components.
 func (st *pipeline) delaunayUnion(cellList []int32) {
 	// Gather the core points of the listed cells.
 	total := 0

@@ -2,33 +2,9 @@ package core
 
 import "sort"
 
-// markCore implements Algorithm 2: cells with at least minPts points are
-// all-core; points in smaller cells count their eps-neighbors in their own
-// cell plus every neighboring cell via RangeCount queries.
-func (st *pipeline) markCore() {
-	c := st.cells
-	n := c.Pts.N
-	numCells := c.NumCells()
-	st.coreFlags = make([]bool, n) // escapes into Result.Core; never pooled
-	if st.p.Mark == MarkQuadtree {
-		st.rs.allTrees = lazyTreeBuf(st.rs.allTrees, numCells)
-		st.allTrees = st.rs.allTrees
-	}
-	st.ex.BlockedFor(numCells, 1, func(lo, hi int) {
-		ws := st.getWS()
-		for g := lo; g < hi; g++ {
-			if st.cancelled() {
-				break // partial flags; Run bails at the next phase boundary
-			}
-			st.markCellCore(g, ws)
-		}
-		st.putWS(ws)
-	})
-}
-
-// markCellCore decides the core flag of every point in cell g (writing both
-// true and false, so the incremental pipeline can re-mark a dirty cell over
-// stale flags).
+// markCellCore is Algorithm 2 for cell g: it decides the core flag of every
+// point in cell g (writing both true and false, so the incremental pipeline
+// can re-mark a dirty cell over stale flags).
 //
 // Under a sample mask (Params.Sample, the DBSCAN++ mode) only sampled points
 // get a core decision — computed against the full counting set, so it equals

@@ -42,15 +42,22 @@ type OOCStats struct {
 // point order, so every geometric predicate evaluates on identical
 // operands), core flags are decomposable and accumulate in one global
 // store-order array, and all unions go into one global union-find over the
-// *writer's* cell ids, with every pair oriented by those ids as Run orients
-// it — union-by-min-index roots and DenseRoots label assignment then
-// reproduce the in-RAM run's labels bit-for-bit, GraphApprox included.
+// *writer's* cell ids, with every pair oriented by those ids as the in-RAM
+// window orients it — union-by-min-index roots and DenseRoots label
+// assignment then reproduce the in-RAM run's labels bit-for-bit, GraphApprox
+// included.
 // Store-order results are scattered to the writer's point order at the end.
 //
 // maxResidentBytes > 0 is a hard budget on a single window mapping: a window
 // that exceeds it fails the run with an error naming the shortfall (rewrite
 // the store with more shards, or raise the budget).
+//
+// A Sample mask is rejected: it is keyed by the writer's point order, while
+// the windows index core flags in store order.
 func RunOutOfCore(store *cellstore.Store, p Params, maxResidentBytes int64) (*Result, *OOCStats, error) {
+	if p.Sample != nil {
+		return nil, nil, fmt.Errorf("core: RunOutOfCore does not take a Sample mask (its windows index core flags in store order)")
+	}
 	src := &storeSource{store: store, maxRes: maxResidentBytes}
 	res, err := runShards(src, store.Dims(), store.NumPoints(), store.NumCells(), p)
 	if err != nil {

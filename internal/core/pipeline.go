@@ -17,7 +17,6 @@ import (
 	"pdbscan/internal/geom"
 	"pdbscan/internal/grid"
 	"pdbscan/internal/parallel"
-	"pdbscan/internal/prim"
 	"pdbscan/internal/quadtree"
 	"pdbscan/internal/unionfind"
 )
@@ -91,10 +90,12 @@ type Params struct {
 	Timings *PhaseTimings
 
 	// PhaseHook, when non-nil, is called on the run's goroutine at the start
-	// of each pipeline phase with the phase's name: "mark", "collect",
-	// "graph", "merge" (sharded only), "label", "border", "done" — and, for
-	// ComputeHierarchy builds, "coredist", "edges", "mst". Out-of-core runs
-	// announce "mark", "graph", "merge" and "border" once per shard window.
+	// of each pipeline phase with the phase's name. Run, RunSharded and
+	// RunOutOfCore announce "mark", "graph", "merge", "label", "border" and
+	// "done"; RunIncremental announces "mark", "collect", "graph", "label",
+	// "border" and "done"; ComputeHierarchy builds announce "coredist",
+	// "edges", "mst" and "done". Out-of-core runs announce "mark", "graph",
+	// "merge" and "border" once per shard window.
 	// It exists for observability and for tests that need a deterministic
 	// point inside a run (the cancellation suite cancels a context from it);
 	// it must be cheap and must not mutate pipeline state.
@@ -102,15 +103,16 @@ type Params struct {
 }
 
 // PhaseTimings records how long each pipeline phase of one run took; a phase
-// announced once per shard window accumulates over the windows. The sharded
-// paths report their per-shard mark+collect step as Mark, the intra-shard
-// graph as Graph, and the cross-shard pairs as Merge; the monolithic and
-// incremental paths leave Merge zero.
+// announced once per shard window accumulates over the windows. The batch
+// paths (Run, RunSharded, RunOutOfCore) report their per-shard mark+collect
+// step as Mark, the intra-shard graph as Graph, and the cross-shard pairs as
+// Merge, and leave Collect zero; the incremental path reports collection as
+// Collect and leaves Merge zero.
 type PhaseTimings struct {
 	Mark    time.Duration // MarkCore (Algorithm 2)
-	Collect time.Duration // per-cell core lists, boxes, core-cell set
+	Collect time.Duration // per-cell core lists, boxes, core-cell set (RunIncremental)
 	Graph   time.Duration // ClusterCore cell graph (Algorithm 3)
-	Merge   time.Duration // cross-shard pairs (RunSharded, RunOutOfCore)
+	Merge   time.Duration // cross-shard pairs (zero work with one shard)
 	Label   time.Duration // dense label assignment
 	Border  time.Duration // ClusterBorder (Algorithm 4)
 
@@ -313,46 +315,18 @@ func (c *phaseClock) phase(name string) error {
 }
 
 // Run executes the full pipeline on prepared cells (Neighbors must have been
-// computed). If the executor pool carries a cancelled context — or the
-// context is cancelled while the run is in flight — Run stops at the next
-// phase or cell boundary and returns the context's error; the partial state
-// stays inside the run's arena scratch, which the release leaves ready for
-// the owner's next run.
+// computed): RunSharded over a one-shard partition, whose one window runs
+// each step as a parallel loop over every cell. If the executor pool carries
+// a cancelled context — or the context is cancelled while the run is in
+// flight — Run stops at the next phase or cell boundary and returns the
+// context's error; the partial state stays inside the run's arena scratch,
+// which the release leaves ready for the owner's next run.
 func Run(cells *grid.Cells, p Params) (*Result, error) {
-	if err := validateCells(cells, &p); err != nil {
+	part, err := grid.MakePartition(p.Exec, cells, 1)
+	if err != nil {
 		return nil, err
 	}
-	st := newPipeline(cells, p)
-	defer st.release()
-	if err := st.phase("mark"); err != nil {
-		return nil, err
-	}
-	st.markCore()
-	if err := st.phase("collect"); err != nil {
-		return nil, err
-	}
-	st.collectCore()
-	if err := st.phase("graph"); err != nil {
-		return nil, err
-	}
-	st.clusterCore()
-	if err := st.phase("label"); err != nil {
-		return nil, err
-	}
-	labels, numClusters := st.coreLabels()
-	if err := st.phase("border"); err != nil {
-		return nil, err
-	}
-	border := st.clusterBorder(labels)
-	if err := st.phase("done"); err != nil {
-		return nil, err
-	}
-	return &Result{
-		Core:        st.coreFlags,
-		Labels:      labels,
-		Border:      border,
-		NumClusters: numClusters,
-	}, nil
+	return RunSharded(cells, p, part)
 }
 
 // initCoreState readies the per-cell core buffers (lists, flat backing,
@@ -370,17 +344,6 @@ func (st *pipeline) initCoreState() {
 	st.coreStore = st.rs.coreStore
 	st.coreBBLo = st.rs.coreBBLo
 	st.coreBBHi = st.rs.coreBBHi
-}
-
-// collectCore builds the per-cell core point lists, core bounding boxes, and
-// the list of core cells.
-func (st *pipeline) collectCore() {
-	numCells := st.cells.NumCells()
-	st.initCoreState()
-	st.ex.ForGrain(numCells, 1, func(g int) { st.collectCellCore(g) })
-	st.coreCells = prim.FilterIndex(st.ex, numCells, func(g int) bool {
-		return len(st.corePts[g]) > 0
-	})
 }
 
 // collectCellCore derives cell g's core point list and core bounding box from

@@ -2,44 +2,49 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"pdbscan/internal/grid"
 	"pdbscan/internal/parallel"
+	"pdbscan/internal/prim"
 	"pdbscan/internal/unionfind"
 )
 
 // RunSharded executes the pipeline as a partition/merge computation over a
-// spatial Partition of the cell lattice: the sharded executor (runShards)
-// over one window that holds every shard, so each step runs shards in
-// parallel, each one serially — shard-level parallelism replaces the
-// phase-level parallel loops of Run. Cross-shard pairs are visited only from
-// the Partition's Boundary cells.
+// spatial Partition of the cells: the sharded executor (runShards) over one
+// window that holds every shard. Several shards run each step in parallel,
+// each shard serially; one shard (Run) runs each step as a parallel loop
+// over its cells. Cross-shard pairs are visited only from the Partition's
+// Boundary cells.
 //
-// The result is identical to Run on the same cells — bit-for-bit, not merely
-// up to label permutation — for every strategy including GraphApprox:
+// The result is the same for every partition of the same cells — bit for
+// bit, not merely up to label permutation — for every strategy including
+// GraphApprox:
 //
 //   - Core flags are decomposable: a point's flag depends only on points
 //     within eps, all reachable through its cell's neighbor list regardless
 //     of which shard owns them (halo cells are read, never written).
 //   - Every per-pair connectivity predicate (connectFn) is a pure function
-//     of the oriented cell pair, and processPair orients every pair as Run
-//     does, so the connected components equal those of the full edge set no
-//     matter which step — intra-shard or cross-shard — evaluates an edge, or
-//     skips it as already connected. GraphDelaunay has no per-pair
-//     predicate; each shard triangulates its own core points (the subset
-//     triangulation contains the subset's Euclidean MST, preserving every
-//     intra-shard eps-connection) and cross-shard edges use exact BCP, which
-//     lands on the same exact components every exact strategy defines.
+//     of the oriented cell pair, and processPair orients every pair by
+//     global cell id, so the connected components equal those of the full
+//     edge set no matter which step — intra-shard or cross-shard —
+//     evaluates an edge, or skips it as already connected. GraphDelaunay has
+//     no per-pair predicate; each shard triangulates its own core points
+//     (the subset triangulation contains the subset's Euclidean MST,
+//     preserving every intra-shard eps-connection) and cross-shard edges use
+//     exact BCP, which lands on the same exact components every exact
+//     strategy defines.
 //   - Union-by-index makes a component's root its minimum cell index —
 //     independent of union order — and DenseRoots assigns labels by root
 //     order, so equal components mean equal labels.
 //
-// Bucketing is a batch-scheduling heuristic of the monolithic traversal and
-// is subsumed here: each shard already processes its cells in size-sorted
-// order, serially, so earlier (larger) cells prune later queries within the
-// shard. Results are unaffected (the components do not depend on evaluation
-// order).
+// Bucketing (Section 4.4) schedules a one-shard window's graph step in
+// size-sorted batches. A window with several shards ignores it: each shard
+// already processes its cells in size-sorted order, serially, so earlier
+// (larger) cells prune later queries within the shard. Results are
+// unaffected either way (the components do not depend on evaluation order).
+//
+// A Sample mask is keyed by original point index, as the in-RAM window's
+// core flags are.
 func RunSharded(cells *grid.Cells, p Params, part *grid.Partition) (*Result, error) {
 	if cells.Neighbors == nil || part == nil || len(part.ShardOf) != cells.NumCells() {
 		return nil, fmt.Errorf("core: RunSharded requires cells with neighbor lists and a Partition of them")
@@ -91,20 +96,17 @@ type shardRun struct {
 	border    borderSet
 }
 
-// runShards is the sharded executor behind RunSharded and RunOutOfCore. It
-// sweeps the source's windows twice. The graph sweep runs, per window, the
-// steps "mark" (MarkCore and core collection for the owned cells), "graph"
-// (the intra-shard cell graph) and "merge" (every pair between an owned cell
-// and a cell of an earlier shard — each cross-shard pair once, in the step
-// of its later shard). Labels are then assigned once over the global cells
-// ("label"), and the border sweep attaches every window's owned non-core
-// points ("border").
+// runShards is the one batch executor, behind Run, RunSharded and
+// RunOutOfCore. It sweeps the source's windows twice. The graph sweep runs,
+// per window, the steps "mark" (MarkCore and core collection for the owned
+// cells), "graph" (the intra-shard cell graph) and "merge" (every pair
+// between an owned cell and a cell of an earlier shard — each cross-shard
+// pair once, in the step of its later shard). Labels are then assigned once
+// over the global cells ("label"), and the border sweep attaches every
+// window's owned non-core points ("border").
 func runShards(src shardSource, d, n, numCells int, p Params) (*Result, error) {
 	if err := validateParams(d, n, &p); err != nil {
 		return nil, err
-	}
-	if p.Sample != nil {
-		return nil, fmt.Errorf("core: sampled-core runs are monolithic (Run), not sharded")
 	}
 	r := &shardRun{
 		p:         p,
@@ -217,25 +219,41 @@ func (r *shardRun) graphSteps(w *shardWindow) error {
 	} else {
 		connect = st.connectFn()
 		// Owned core cells in SortBySize order (Algorithm 3, line 3), each
-		// examining its same-shard neighbors of lower global id.
-		w.each(func(i int, ws *workerScratch) []int32 {
+		// examining its same-shard neighbors of lower id (local ids order
+		// as global ones within a window).
+		sorted := func(i int, ws *workerScratch) []int32 {
 			order := ws.cellOrder[:0]
 			for _, g := range w.owned[i] {
 				if len(st.corePts[g]) > 0 {
 					order = append(order, g)
 				}
 			}
-			slices.SortFunc(order, st.coreSizeCmp)
+			prim.Sort(st.ex, order, st.coreSizeLess)
 			ws.cellOrder = order // keep grown capacity
 			return order
-		}, func(g int32, ws *workerScratch) {
-			s, id := w.shardOf[g], st.gid(g)
+		}
+		pairs := func(g int32, ws *workerScratch) {
+			s := w.shardOf[g]
 			for _, h := range st.cells.Neighbors[g] {
-				if w.shardOf[h] == s && st.gid(h) < id {
+				if h < g && w.shardOf[h] == s {
 					st.processPair(g, h, connect, ws)
 				}
 			}
-		})
+		}
+		if st.p.Bucketing && len(w.owned) == 1 {
+			// Bucketing (Section 4.4): the sorted cells in Buckets batches,
+			// sequential across batches and parallel within each, so the
+			// unions of earlier (larger) cells prune later batches' queries.
+			ws := st.getWS()
+			order := sorted(0, ws)
+			size := max(1, (len(order)+st.p.Buckets-1)/st.p.Buckets)
+			for lo := 0; lo < len(order) && !st.cancelled(); lo += size {
+				st.eachCell(order[lo:min(lo+size, len(order))], pairs)
+			}
+			st.putWS(ws)
+		} else {
+			w.each(sorted, pairs)
+		}
 	}
 
 	if err := r.phase("merge"); err != nil {
@@ -295,7 +313,13 @@ func (w *shardWindow) each(list func(i int, ws *workerScratch) []int32, body fun
 		return
 	}
 	lws := st.getWS()
-	cells := list(0, lws)
+	st.eachCell(list(0, lws), body)
+	st.putWS(lws)
+}
+
+// eachCell runs body over cells as a parallel loop of blocks, each with its
+// own worker scratch, stopping at cancellation.
+func (st *pipeline) eachCell(cells []int32, body func(g int32, ws *workerScratch)) {
 	st.ex.BlockedFor(len(cells), 1, func(lo, hi int) {
 		ws := st.getWS()
 		for _, g := range cells[lo:hi] {
@@ -306,7 +330,6 @@ func (w *shardWindow) each(list func(i int, ws *workerScratch) []int32, body fun
 		}
 		st.putWS(ws)
 	})
-	st.putWS(lws)
 }
 
 // ramSource is the in-RAM source: one window over every cell, whose local

@@ -10,6 +10,7 @@ import (
 	"pdbscan/internal/cellstore"
 	"pdbscan/internal/geom"
 	"pdbscan/internal/grid"
+	"pdbscan/internal/metrics"
 	"pdbscan/internal/unionfind"
 )
 
@@ -120,6 +121,52 @@ func TestRunShardedMatchesRun(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRunShardedSampleMask pins sample masks through the executor. The
+// in-RAM window keys core flags by original point index, as the mask is, so
+// every flag Run returns is the brute-force decision for a sampled point
+// (false for the rest), and RunSharded at k = 3 returns exactly Run's result
+// with the same mask. RunOutOfCore, whose windows index flags in store order,
+// rejects a mask.
+func TestRunShardedSampleMask(t *testing.T) {
+	cells := shardedTestCells(t, 1500, 2, 3, 1.2)
+	mask := UniformMask(nil, cells.Pts.N, 0.4, 9)
+	p := Params{MinPts: 5, Sample: mask}
+	want, err := Run(cells, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := metrics.BruteDBSCAN(cells.Pts, cells.Eps, p.MinPts).Core
+	sampledCores := 0
+	for i, c := range want.Core {
+		if c != (mask[i] && exact[i]) {
+			t.Fatalf("point %d: core %v, want sampled %v and exact core %v", i, c, mask[i], exact[i])
+		}
+		if c {
+			sampledCores++
+		}
+	}
+	if sampledCores == 0 || want.NumClusters == 0 {
+		t.Fatalf("degenerate layout: %d sampled cores, %d clusters", sampledCores, want.NumClusters)
+	}
+	part, err := grid.MakePartition(nil, cells, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part.NumShards != 3 {
+		t.Fatalf("partition produced %d shards, want 3", part.NumShards)
+	}
+	got, err := RunSharded(cells, p, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameResult(got, want); err != nil {
+		t.Fatalf("RunSharded k=3 vs Run under a mask: %v", err)
+	}
+	if _, _, err := RunOutOfCore(writeTestStore(t, cells, part), p, 0); err == nil {
+		t.Fatal("RunOutOfCore accepted a Sample mask")
 	}
 }
 

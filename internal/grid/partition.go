@@ -32,7 +32,8 @@ type Partition struct {
 	// Axis is the dimension the lattice was cut along: the axis with the
 	// most distinct occupied lattice coordinates — i.e. the most slabs, so
 	// the requested shard count clamps as little as possible (ties to the
-	// widest coordinate span, then the lowest axis).
+	// widest coordinate span, then the lowest axis). A one-shard partition
+	// cuts nothing and reports the axis the cells are numbered by.
 	Axis int
 	// ShardOf[g] is the shard owning cell g.
 	ShardOf []int32
@@ -50,26 +51,33 @@ type Partition struct {
 
 // MakePartition partitions the cells of a grid construction into at most
 // `shards` contiguous spatial blocks of roughly equal point count, with
-// eps-wide halos. Requires the grid layout (Coords non-nil) and computed
-// Neighbors. The executor sizes the parallel passes (nil = default pool).
+// eps-wide halos. Requires computed Neighbors, and for shards > 1 the grid
+// layout (Coords non-nil). The executor sizes the parallel passes (nil =
+// default pool).
+//
+// One shard needs no lattice, so it serves any layout, box cells included:
+// it owns every cell in ascending id order and has no halo or boundary. Its
+// Axis is the lattice axis the cells are numbered by (0 for box cells).
 //
 // The split axis and cut positions depend only on the occupied lattice (not
 // on cell enumeration order), so equal point sets yield equal partitions.
 func MakePartition(ex *parallel.Pool, c *Cells, shards int) (*Partition, error) {
-	if c.Coords == nil {
-		return nil, fmt.Errorf("grid: MakePartition requires the grid layout (box cells have no lattice)")
-	}
 	if c.Neighbors == nil {
 		return nil, fmt.Errorf("grid: MakePartition requires computed neighbor lists")
 	}
 	if shards < 1 {
 		return nil, fmt.Errorf("grid: shard count must be >= 1, got %d", shards)
 	}
+	if c.Coords == nil && shards > 1 {
+		return nil, fmt.Errorf("grid: MakePartition requires the grid layout for more than one shard (box cells have no lattice)")
+	}
 	d := c.Pts.D
 	numCells := c.NumCells()
-	p := &Partition{NumShards: 1, ShardOf: make([]int32, numCells)}
-	if numCells == 0 {
-		p.Owned = [][]int32{nil}
+	p := &Partition{NumShards: 1, Axis: c.axis, ShardOf: make([]int32, numCells)}
+	if shards == 1 || numCells == 0 {
+		owned := make([]int32, numCells)
+		ex.For(numCells, func(g int) { owned[g] = int32(g) })
+		p.Owned = [][]int32{owned}
 		p.Halo = [][]int32{nil}
 		p.Boundary = [][]int32{nil}
 		return p, nil

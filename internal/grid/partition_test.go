@@ -197,6 +197,62 @@ func TestPartitionAxisBySlabCount(t *testing.T) {
 	}
 }
 
+// TestPartitionOneShard: one shard needs no lattice. On box cells it owns
+// every cell in ascending order with no halo or boundary, while two shards
+// still error; on grid cells its Axis is the axis a real cut picks (here 1,
+// so the zero value cannot pass by accident), which is the axis the cells
+// are numbered by.
+func TestPartitionOneShard(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var data []float64
+	for i := 0; i < 400; i++ {
+		x := 0.25
+		if i%2 == 1 {
+			x = 10000.25
+		}
+		data = append(data, x, rng.Float64()*30)
+	}
+	pts := geom.Points{N: len(data) / 2, D: 2, Data: data}
+
+	box := BuildBox2D(nil, pts, 1.0)
+	box.ComputeNeighborsBox2D(nil)
+	p, err := MakePartition(nil, box, 1)
+	if err != nil {
+		t.Fatalf("box cells, one shard: %v", err)
+	}
+	if p.NumShards != 1 || len(p.Owned) != 1 || len(p.Halo) != 1 || len(p.Boundary) != 1 {
+		t.Fatalf("box cells: %d shards, %d/%d/%d lists, want one of each", p.NumShards, len(p.Owned), len(p.Halo), len(p.Boundary))
+	}
+	if len(p.Owned[0]) != box.NumCells() || len(p.ShardOf) != box.NumCells() {
+		t.Fatalf("box cells: shard owns %d of %d cells (ShardOf has %d)", len(p.Owned[0]), box.NumCells(), len(p.ShardOf))
+	}
+	for g, o := range p.Owned[0] {
+		if o != int32(g) || p.ShardOf[g] != 0 {
+			t.Fatalf("box cells: Owned[0][%d] = %d, ShardOf = %d; want %d, 0", g, o, p.ShardOf[g], g)
+		}
+	}
+	if len(p.Halo[0]) != 0 || len(p.Boundary[0]) != 0 {
+		t.Fatalf("box cells: halo %v, boundary %v, want empty", p.Halo[0], p.Boundary[0])
+	}
+	if _, err := MakePartition(nil, box, 2); err == nil {
+		t.Fatal("box cells: two shards accepted")
+	}
+
+	c := BuildGrid(nil, pts, 1.0)
+	c.ComputeNeighborsEnum(nil)
+	one, err := MakePartition(nil, c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := MakePartition(nil, c, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if two.Axis != 1 || one.Axis != two.Axis {
+		t.Fatalf("grid cells: one-shard axis %d, two-shard axis %d, want both 1", one.Axis, two.Axis)
+	}
+}
+
 // TestPartitionClampAndErrors: shard counts beyond the occupied slabs clamp;
 // box layout, missing neighbors, and non-positive counts error.
 func TestPartitionClampAndErrors(t *testing.T) {

@@ -90,17 +90,20 @@ func Sort[T any](ex *parallel.Pool, a []T, less func(x, y T) bool) {
 	if len(a) < 2 {
 		return
 	}
-	buf := make([]T, len(a))
-	mergeSort(ex, a, buf, less, ex.Workers())
+	mergeSort(ex, a, nil, less, ex.Workers())
 }
 
-// mergeSort sorts a using buf as scratch. budget limits fork depth so that at
-// most ~2*budget goroutines are live.
+// mergeSort sorts a using buf as scratch; a nil buf is allocated when the
+// sort first forks, so a serial sort allocates none. budget limits fork
+// depth so that at most ~2*budget goroutines are live.
 func mergeSort[T any](ex *parallel.Pool, a, buf []T, less func(x, y T) bool, budget int) {
 	const serialCutoff = 8192
 	if len(a) <= serialCutoff || budget <= 1 {
 		sort.SliceStable(a, func(i, j int) bool { return less(a[i], a[j]) })
 		return
+	}
+	if buf == nil {
+		buf = make([]T, len(a))
 	}
 	mid := len(a) / 2
 	parallel.Do(

@@ -38,8 +38,8 @@ import (
 // Two minor semantic differences from the batch path, both method-visible
 // only in performance, never in results: the 2d-box-* methods are served by
 // the grid cell layout (identical clustering — all exact methods agree), and
-// Config.Bucketing is ignored (it schedules a pruned batch traversal the
-// incremental edge evaluation replaces).
+// Config.Bucketing is ignored (it batches the pruned graph loop of a
+// one-shard batch run, which the incremental edge evaluation replaces).
 //
 // Config.Shards > 1 routes a Run through the sharded partition/merge path
 // instead of the incremental one: the full window is re-clustered (same
@@ -368,14 +368,7 @@ func (s *StreamingClusterer) RunContext(ctx context.Context, cfg Config) (res *S
 		if cerr := ex.Err(); cerr != nil {
 			return nil, cerr
 		}
-		if part.NumShards <= 1 {
-			// Uncuttable lattice: the monolithic phases parallelize better
-			// than a one-shard run would (same fallback as Clusterer.Run).
-			cres, err = core.Run(cells, params)
-		} else {
-			cres, err = core.RunSharded(cells, params, part)
-		}
-		if err != nil {
+		if cres, err = core.RunSharded(cells, params, part); err != nil {
 			return nil, err
 		}
 		dirtyCells, full = -1, true // -1: patched to the live cell count below
