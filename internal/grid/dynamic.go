@@ -46,7 +46,11 @@ type Dynamic struct {
 	ptCell  []int32   // per point slot: owning cell slot, -1 if free
 	numLive int
 
+	// key2cell maps each alive cell's absolute lattice coordinates, packed
+	// by putKey, to its cell slot. It is the one cell table: Insert and
+	// Remove keep it current, and Snapshot's neighbor probes only read it.
 	key2cell    map[string]int32
+	key         []byte    // Insert's and Remove's key2cell key buffer
 	cellPts     [][]int32 // per cell slot: its point slots (nil once freed)
 	cellAbs     [][]int64 // per cell slot: absolute lattice coords (nil once freed)
 	cellAlive   []bool
@@ -92,6 +96,7 @@ func NewDynamic(d int, eps float64) *Dynamic {
 		eps:      eps,
 		side:     eps / math.Sqrt(float64(d)),
 		key2cell: make(map[string]int32),
+		key:      make([]byte, 8*d),
 		dirty:    make(map[int32]struct{}),
 	}
 }
@@ -114,12 +119,18 @@ func (dy *Dynamic) PointAt(p int32) []float64 {
 	return dy.data[int(p)*dy.d : (int(p)+1)*dy.d]
 }
 
-// key packs absolute lattice coordinates into a map key.
+// putKey packs absolute lattice coordinates into key, 8 little-endian bytes
+// per axis: the layout of key2cell's keys.
+func putKey(key []byte, abs []int64) {
+	for j, a := range abs {
+		binary.LittleEndian.PutUint64(key[8*j:], uint64(a))
+	}
+}
+
+// absKey returns abs packed as a key2cell key.
 func absKey(abs []int64) string {
 	b := make([]byte, 8*len(abs))
-	for j, a := range abs {
-		binary.LittleEndian.PutUint64(b[8*j:], uint64(a))
-	}
+	putKey(b, abs)
 	return string(b)
 }
 
@@ -143,13 +154,18 @@ func (dy *Dynamic) Insert(row []float64) int32 {
 		dy.ptCell = append(dy.ptCell, -1)
 	}
 
-	abs := make([]int64, d)
+	key := dy.key
 	for j, v := range row {
-		abs[j] = CellCoord(v, dy.side)
+		binary.LittleEndian.PutUint64(key[8*j:], uint64(CellCoord(v, dy.side)))
 	}
-	key := absKey(abs)
-	g, ok := dy.key2cell[key]
+	// Indexing the map by string(key) does not allocate; only a new cell
+	// allocates its coordinates and its key.
+	g, ok := dy.key2cell[string(key)]
 	if !ok {
+		abs := make([]int64, d)
+		for j := range abs {
+			abs[j] = int64(binary.LittleEndian.Uint64(key[8*j:]))
+		}
 		if n := len(dy.freeCells); n > 0 {
 			g = dy.freeCells[n-1]
 			dy.freeCells = dy.freeCells[:n-1]
@@ -162,7 +178,7 @@ func (dy *Dynamic) Insert(row []float64) int32 {
 			dy.cellAbs = append(dy.cellAbs, abs)
 			dy.cellAlive = append(dy.cellAlive, true)
 		}
-		dy.key2cell[key] = g
+		dy.key2cell[string(key)] = g
 	}
 	dy.cellPts[g] = append(dy.cellPts[g], p)
 	dy.ptCell[p] = g
@@ -191,7 +207,8 @@ func (dy *Dynamic) Remove(p int32) {
 	dy.markDirty(g)
 	if len(dy.cellPts[g]) == 0 {
 		dy.cellAlive[g] = false
-		delete(dy.key2cell, absKey(dy.cellAbs[g]))
+		putKey(dy.key, dy.cellAbs[g])
+		delete(dy.key2cell, string(dy.key))
 		dy.deadPending = append(dy.deadPending, g)
 	}
 }
@@ -265,7 +282,7 @@ func (dy *Dynamic) Snapshot(ex *parallel.Pool) (*Cells, *DirtyInfo, error) {
 		Neighbors: make([][]int32, numSlots),
 	}
 
-	// Offsets, coords, and the cell table.
+	// Offsets and coords.
 	off := int32(0)
 	for g := 0; g < numSlots; g++ {
 		c.CellStart[g] = off
@@ -277,7 +294,6 @@ func (dy *Dynamic) Snapshot(ex *parallel.Pool) (*Cells, *DirtyInfo, error) {
 		}
 	}
 	c.CellStart[numSlots] = off
-	c.table = newCellTable(numAlive, c)
 	for i := range c.CellOf {
 		c.CellOf[i] = -1
 	}
@@ -289,7 +305,6 @@ func (dy *Dynamic) Snapshot(ex *parallel.Pool) (*Cells, *DirtyInfo, error) {
 		for _, p := range dy.cellPts[g] {
 			c.CellOf[p] = int32(g)
 		}
-		c.table.insert(int32(g))
 	})
 
 	// Affected set: dirty cells plus every alive cell within eps of one.
@@ -334,7 +349,7 @@ func (dy *Dynamic) Snapshot(ex *parallel.Pool) (*Cells, *DirtyInfo, error) {
 		if tree != nil {
 			return c.kdNeighborsOf(tree, slotOf, abs, exclude)
 		}
-		return c.enumNeighborsOf(abs, exclude)
+		return dy.enumNeighborsOf(abs, exclude)
 	}
 
 	if full {
@@ -421,4 +436,55 @@ func (dy *Dynamic) Snapshot(ex *parallel.Pool) (*Cells, *DirtyInfo, error) {
 	dy.snapValid = true
 	dy.restored = false
 	return c, info, nil
+}
+
+// enumNeighborsOf returns the alive cells whose cubes are within eps of the
+// grid cube at absolute lattice coordinates abs, except exclude (a cell slot,
+// or -1), in increasing slot order. It enumerates every lattice offset within
+// axisReach per axis, prunes by the offsets' gaps, and looks each probe up in
+// key2cell by its absolute coordinates; a hit is kept if it passes the exact
+// cube-distance test of the k-d path, so both return the same lists. The cube
+// at abs need not be an alive cell: Snapshot also asks for the
+// eps-neighborhood of a destroyed one. It only reads the Dynamic, so
+// Snapshot's parallel blocks call it concurrently.
+func (dy *Dynamic) enumNeighborsOf(abs []int64, exclude int32) []int32 {
+	d, side := dy.d, dy.side
+	eps2 := dy.eps * dy.eps * (1 + 1e-12)
+	// Loose pruning bound for the offset recursion; the final decision uses
+	// the exact cube-distance test shared with the k-d path so that both
+	// methods return identical neighbor sets.
+	pruneBound := eps2 * (1 + 1e-9)
+	m := axisReach(d, side, pruneBound)
+	var nbrs []int32
+	k := geom.NewKernel(geom.Points{D: d})
+	key := make([]byte, 8*d) // the probe's absolute coordinates, as putKey packs them
+	buf := make([]float64, 4*d)
+	gLo, gHi, hLo, hHi := buf[:d], buf[d:2*d], buf[2*d:3*d], buf[3*d:]
+	absCubeInto(abs, side, gLo, gHi)
+	var rec func(j int, dist2 float64)
+	rec = func(j int, dist2 float64) {
+		if dist2 > pruneBound {
+			return
+		}
+		if j == d {
+			// Self-exclusion is exclude's job alone: a cell reborn at a
+			// vacated coordinate has a slot of its own and is a valid
+			// answer, as it is on the k-d path.
+			if h, ok := dy.key2cell[string(key)]; ok && h != exclude && k.BoxBoxDistSq(gLo, gHi, hLo, hHi) <= eps2 {
+				nbrs = append(nbrs, h)
+			}
+			return
+		}
+		for o := -m; o <= m; o++ {
+			a := abs[j] + o
+			binary.LittleEndian.PutUint64(key[8*j:], uint64(a))
+			// The probed cube: bit for bit the corners cubeInto computes
+			// from Anchor + Coords for a cell found here.
+			hLo[j], hHi[j] = float64(a)*side, float64(a+1)*side
+			rec(j+1, dist2+offsetGap2(o, side))
+		}
+	}
+	rec(0, 0)
+	sortNeighbors(nbrs)
+	return nbrs
 }

@@ -1,7 +1,11 @@
 package grid
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"pdbscan/internal/geom"
@@ -142,7 +146,7 @@ func snapshotMatchesBuildGrid(t *testing.T, dy *Dynamic, live []int32) {
 }
 
 func TestDynamicMatchesBuildGridUnderMutations(t *testing.T) {
-	for _, d := range []int{1, 2, 3, 5} {
+	for _, d := range []int{1, 2, 3, 4, 5} {
 		rng := rand.New(rand.NewSource(int64(10 + d)))
 		dy := NewDynamic(d, 2.5)
 		var live []int32
@@ -289,5 +293,182 @@ func TestDynamicEmpty(t *testing.T) {
 		if snap.CellSize(g) != 0 {
 			t.Fatalf("cell %d not empty after removing all points", g)
 		}
+	}
+}
+
+// bruteNeighbors lists, in slot order, the alive cells whose cubes pass
+// enumNeighborsOf's exact cube test against the cube at abs, except exclude,
+// by scanning every cell slot.
+func bruteNeighbors(dy *Dynamic, abs []int64, exclude int32) []int32 {
+	d := dy.Dims()
+	eps2 := dy.eps * dy.eps * (1 + 1e-12)
+	k := geom.NewKernel(geom.Points{D: d})
+	gLo, gHi := make([]float64, d), make([]float64, d)
+	hLo, hHi := make([]float64, d), make([]float64, d)
+	absCubeInto(abs, dy.side, gLo, gHi)
+	var out []int32
+	for h, alive := range dy.cellAlive {
+		if !alive || int32(h) == exclude {
+			continue
+		}
+		absCubeInto(dy.cellAbs[h], dy.side, hLo, hHi)
+		if k.BoxBoxDistSq(gLo, gHi, hLo, hHi) <= eps2 {
+			out = append(out, int32(h))
+		}
+	}
+	return out
+}
+
+// TestDynamicProbesMatchBruteForce: in d = 1-5, on every neighbor layout, the
+// key2cell probes list for each alive cell exactly the alive cells a scan of
+// every cell keeps under the same exact cube test. The lattice-aligned
+// layouts put corner cubes exactly eps apart, and d = 4 probes out to its
+// perfect-square reach √d+1. A vacated coordinate is probed too, with the
+// emptied cell excluded: as is, and after a new cell is born there, which
+// must then be listed.
+func TestDynamicProbesMatchBruteForce(t *testing.T) {
+	for d := 1; d <= 5; d++ {
+		for name, pts := range neighborLayouts(d) {
+			t.Run(fmt.Sprintf("%s/d=%d", name, d), func(t *testing.T) {
+				t.Parallel()
+				dy := NewDynamic(d, 2.0)
+				for i := 0; i < pts.N; i++ {
+					dy.Insert(pts.At(i))
+				}
+				if _, _, err := dy.Snapshot(nil); err != nil {
+					t.Fatal(err)
+				}
+				probe := func(abs []int64, exclude int32) []int32 {
+					t.Helper()
+					got, want := dy.enumNeighborsOf(abs, exclude), bruteNeighbors(dy, abs, exclude)
+					if !slices.Equal(got, want) {
+						t.Fatalf("probes around %v (excluding %d) list %v, the scan %v", abs, exclude, got, want)
+					}
+					return got
+				}
+				for g, alive := range dy.cellAlive {
+					if alive {
+						probe(dy.cellAbs[g], int32(g))
+					}
+				}
+
+				// Empty the first point's cell; it keeps its slot and its
+				// coordinates until the next snapshot.
+				const g = 0
+				abs := slices.Clone(dy.cellAbs[g])
+				row := slices.Clone(dy.PointAt(dy.cellPts[g][0]))
+				for len(dy.cellPts[g]) > 0 {
+					dy.Remove(dy.cellPts[g][0])
+				}
+				probe(abs, g)
+				h := dy.ptCell[dy.Insert(row)]
+				if h == g {
+					t.Fatalf("cell slot %d reused before the snapshot that retires it", g)
+				}
+				if !slices.Contains(probe(abs, g), h) {
+					t.Fatalf("cell %d, born at the vacated %v, not listed", h, abs)
+				}
+			})
+		}
+	}
+}
+
+// TestDynamicRemoveInsertAllocFree: removing a point from a cell that keeps
+// other points and inserting it again finds the cell in key2cell without
+// allocating.
+func TestDynamicRemoveInsertAllocFree(t *testing.T) {
+	dy := NewDynamic(2, 1.0)
+	row := []float64{0.25, 0.25}
+	for i := 0; i < 4; i++ {
+		dy.Insert(row)
+	}
+	p := dy.Insert(row)
+	allocs := testing.AllocsPerRun(100, func() {
+		dy.Remove(p)
+		p = dy.Insert(row)
+	})
+	if allocs != 0 {
+		t.Fatalf("Remove plus Insert into a kept cell: %v allocations, want 0", allocs)
+	}
+}
+
+// TestRestoreDynamicRejectsTamperedState: each row tampers a valid export so
+// that a slot gets two owners, or a live point lies where its cell cannot
+// hold it, or a cell's coordinates leave the exact lattice, and
+// RestoreDynamic must refuse it with the named error. Each row breaks one
+// invariant only: the row that puts two alive cells at one coordinate moves
+// the second cell's points along, so they still lie in their cell.
+func TestRestoreDynamicRejectsTamperedState(t *testing.T) {
+	dy := NewDynamic(2, 1.0)
+	side := dy.side
+	var a, b []int32 // point slots of two cells with several points each
+	for _, row := range [][]float64{{0.1, 0.1}, {0.2, 0.3}, {0.3, 0.2}} {
+		a = append(a, dy.Insert(row))
+	}
+	for _, row := range [][]float64{{1.0, 0.1}, {1.1, 0.3}} {
+		b = append(b, dy.Insert(row))
+	}
+	lone := dy.Insert([]float64{5.1, 5.1})
+	freed := dy.Insert([]float64{-3, -3})
+	dying := dy.Insert([]float64{3, -3})
+	gA, gB, gLone, gDying := dy.ptCell[a[0]], dy.ptCell[b[0]], dy.ptCell[lone], dy.ptCell[dying]
+	if _, _, err := dy.Snapshot(nil); err != nil {
+		t.Fatal(err)
+	}
+	dy.Remove(freed)
+	if _, _, err := dy.Snapshot(nil); err != nil { // retires freed's cell slot
+		t.Fatal(err)
+	}
+	dy.Remove(dying) // its cell slot stays pending until the next snapshot
+	dy.Remove(a[2])
+	valid := dy.ExportState()
+	if len(valid.FreePts) == 0 || len(valid.FreeCells) == 0 || len(valid.DeadPending) == 0 {
+		t.Fatalf("setup: free points %v, free cells %v, dead-pending %v", valid.FreePts, valid.FreeCells, valid.DeadPending)
+	}
+	if _, err := RestoreDynamic(valid); err != nil {
+		t.Fatalf("valid state rejected: %v", err)
+	}
+
+	d := dy.Dims()
+	for _, tc := range []struct {
+		name, want string
+		tamper     func(st *DynamicState)
+	}{
+		{"free point slot twice", "free point slot", func(st *DynamicState) {
+			st.FreePts = append(st.FreePts, st.FreePts[0])
+		}},
+		{"free cell slot twice", "free cell slot", func(st *DynamicState) {
+			st.FreeCells = append(st.FreeCells, st.FreeCells[0])
+		}},
+		{"dead-pending slot twice", "dead-pending cell slot", func(st *DynamicState) {
+			st.DeadPending = append(st.DeadPending, st.DeadPending[0])
+		}},
+		{"two alive cells at one coordinate", "share lattice coordinates", func(st *DynamicState) {
+			copy(st.CellAbs[int(gB)*d:], st.CellAbs[int(gA)*d:int(gA+1)*d])
+			for _, p := range b {
+				copy(st.Data[int(p)*d:], st.Data[int(a[0])*d:int(a[0]+1)*d])
+			}
+		}},
+		{"NaN coordinate", "non-finite", func(st *DynamicState) { st.Data[int(a[0])*d] = math.NaN() }},
+		{"infinite coordinate", "non-finite", func(st *DynamicState) { st.Data[int(a[0])*d+1] = math.Inf(-1) }},
+		{"point beyond the exact lattice", "non-finite or beyond", func(st *DynamicState) {
+			// The lone point's cell moves with it, so only the range is wrong.
+			v := MaxExactCells * side
+			st.Data[int(lone)*d] = v
+			st.CellAbs[int(gLone)*d] = CellCoord(v, side)
+		}},
+		{"point outside its cell", "outside its cell", func(st *DynamicState) { st.Data[int(a[1])*d] += 10 }},
+		{"dead cell beyond the exact lattice", "lattice coordinates", func(st *DynamicState) {
+			st.CellAbs[int(gDying)*d] = math.MaxInt64
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := dy.ExportState()
+			tc.tamper(st)
+			_, err := RestoreDynamic(st)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RestoreDynamic: %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package grid
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -73,6 +74,12 @@ func (dy *Dynamic) ExportState() *DynamicState {
 // grid-side per-cell product (bounding boxes, neighbor lists) — but it
 // reports only the restored dirty set's expansion as affected, not Full, so
 // downstream incremental caches restored alongside stay usable.
+//
+// The state may come from an untrusted file, so every invariant the Dynamic
+// relies on is checked: each slot has at most one owner (no repeats in the
+// free and dead-pending lists, no two alive cells at one lattice coordinate),
+// and every live point is finite, inside the exact lattice range, and in the
+// cell whose coordinates it names — else a cell's diameter could exceed eps.
 func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 	d := st.Dims
 	if d <= 0 {
@@ -102,6 +109,7 @@ func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 	dy.freeCells = append([]int32(nil), st.FreeCells...)
 	dy.deadPending = append([]int32(nil), st.DeadPending...)
 
+	maxMag := MaxExactCells * dy.side
 	seen := make([]bool, numPtSlots)
 	for g := 0; g < numCellSlots; g++ {
 		lo, hi := st.CellPtsOff[g], st.CellPtsOff[g+1]
@@ -119,6 +127,14 @@ func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 		}
 		abs := make([]int64, d)
 		copy(abs, st.CellAbs[g*d:(g+1)*d])
+		// CellCoord never leaves this range for an accepted point, and
+		// within it a neighbor probe's coordinate plus offset cannot
+		// overflow (dead-pending cells are probed around too).
+		for _, a := range abs {
+			if math.Abs(float64(a)) > MaxExactCells {
+				return nil, fmt.Errorf("grid: restore: cell %d lattice coordinates %v beyond the exact lattice range", g, abs)
+			}
+		}
 		dy.cellAbs[g] = abs
 		pts := make([]int32, hi-lo)
 		copy(pts, st.CellPtsFlat[lo:hi])
@@ -127,7 +143,11 @@ func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 			if len(pts) == 0 {
 				return nil, fmt.Errorf("grid: restore: alive cell %d is empty", g)
 			}
-			dy.key2cell[absKey(abs)] = int32(g)
+			key := absKey(abs)
+			if h, dup := dy.key2cell[key]; dup {
+				return nil, fmt.Errorf("grid: restore: alive cells %d and %d share lattice coordinates %v", h, g, abs)
+			}
+			dy.key2cell[key] = int32(g)
 		} else if len(pts) != 0 {
 			return nil, fmt.Errorf("grid: restore: dead cell %d has %d points", g, len(pts))
 		}
@@ -138,6 +158,14 @@ func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 			seen[p] = true
 			if st.PtCell[p] != int32(g) {
 				return nil, fmt.Errorf("grid: restore: point slot %d owned by cell %d but listed in %d", p, st.PtCell[p], g)
+			}
+			for j, v := range dy.PointAt(p) {
+				if !(math.Abs(v) < maxMag) {
+					return nil, fmt.Errorf("grid: restore: point slot %d coordinate %v is non-finite or beyond the exact lattice range", p, v)
+				}
+				if CellCoord(v, dy.side) != abs[j] {
+					return nil, fmt.Errorf("grid: restore: point slot %d at %v lies outside its cell %d at %v", p, dy.PointAt(p), g, abs)
+				}
 			}
 			dy.numLive++
 		}
@@ -156,20 +184,29 @@ func RestoreDynamic(st *DynamicState) (*Dynamic, error) {
 		}
 		dy.dirty[g] = struct{}{}
 	}
+	// A slot listed twice would be handed out twice: by Insert (free
+	// slots) or by the next Snapshot's retire loop (dead-pending ones).
+	// Dead-pending slots are present and free ones are not, so one seen
+	// set covers both lists.
+	listed := make([]bool, numCellSlots)
 	for _, g := range st.DeadPending {
-		if g < 0 || int(g) >= numCellSlots || st.CellAlive[g] || !st.CellPresent[g] {
-			return nil, fmt.Errorf("grid: restore: dead-pending cell slot %d inconsistent", g)
+		if g < 0 || int(g) >= numCellSlots || st.CellAlive[g] || !st.CellPresent[g] || listed[g] {
+			return nil, fmt.Errorf("grid: restore: dead-pending cell slot %d inconsistent or listed twice", g)
 		}
+		listed[g] = true
 	}
 	for _, g := range st.FreeCells {
-		if g < 0 || int(g) >= numCellSlots || st.CellPresent[g] {
-			return nil, fmt.Errorf("grid: restore: free cell slot %d inconsistent", g)
+		if g < 0 || int(g) >= numCellSlots || st.CellPresent[g] || listed[g] {
+			return nil, fmt.Errorf("grid: restore: free cell slot %d inconsistent or listed twice", g)
 		}
+		listed[g] = true
 	}
+	// seen marks the live point slots so far; free ones join it here.
 	for _, p := range st.FreePts {
-		if p < 0 || int(p) >= numPtSlots || st.PtCell[p] >= 0 {
-			return nil, fmt.Errorf("grid: restore: free point slot %d inconsistent", p)
+		if p < 0 || int(p) >= numPtSlots || st.PtCell[p] >= 0 || seen[p] {
+			return nil, fmt.Errorf("grid: restore: free point slot %d inconsistent or listed twice", p)
 		}
+		seen[p] = true
 	}
 	dy.restored = true
 	return dy, nil

@@ -8,7 +8,6 @@ package grid
 import (
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"pdbscan/internal/geom"
 	"pdbscan/internal/kdtree"
@@ -56,9 +55,6 @@ type Cells struct {
 	// axis is the primary key axis of the lattice order BuildGrid and
 	// BuildCellMajor number cells in (see lattice.go).
 	axis int
-	// table maps coords to cell index for Dynamic snapshots, whose cells are
-	// not lattice-ordered; nil for every other construction.
-	table *cellTable
 
 	// Neighbors[g] lists the cells that could contain points within eps of
 	// cell g (excluding g itself), in increasing index order. Filled by one
@@ -163,8 +159,8 @@ func (c *Cells) AbsCoord(g, j int) int64 {
 }
 
 // coordHash mixes a cell's integer coordinates into a 64-bit hash. Distinct
-// coordinates may collide (the grouping and table code always confirm with a
-// full coordinate comparison).
+// coordinates may collide (the grouping code always confirms with a full
+// coordinate comparison).
 func coordHash(coords []int32) uint64 {
 	h := uint64(0x51_7c_c1_b7_27_22_0a_95)
 	for _, v := range coords {
@@ -446,58 +442,6 @@ func parCellMin(ex *parallel.Pool, pts geom.Points, side float64) []int64 {
 	return m
 }
 
-// cellTable maps cell coordinates to cell indices with the concurrent
-// linear-probing scheme of internal/hashtable, but keyed on full coordinate
-// vectors (compared exactly on lookup). Only Dynamic snapshots build one:
-// their cells are not lattice-ordered, so they cannot be swept.
-type cellTable struct {
-	cells *Cells
-	slots []int32 // cell index + 1; 0 = empty
-	mask  uint64
-}
-
-func newCellTable(n int, cells *Cells) *cellTable {
-	capacity := 16
-	for capacity < 2*n {
-		capacity <<= 1
-	}
-	return &cellTable{
-		cells: cells,
-		slots: make([]int32, capacity),
-		mask:  uint64(capacity - 1),
-	}
-}
-
-func (t *cellTable) insert(g int32) {
-	d := t.cells.Pts.D
-	co := t.cells.Coords[int(g)*d : (int(g)+1)*d]
-	i := coordHash(co) & t.mask
-	for {
-		if atomic.LoadInt32(&t.slots[i]) == 0 &&
-			atomic.CompareAndSwapInt32(&t.slots[i], 0, g+1) {
-			return
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// lookup returns the index of the cell with the given coordinates, or -1.
-func (t *cellTable) lookup(co []int32) int32 {
-	d := t.cells.Pts.D
-	i := coordHash(co) & t.mask
-	for {
-		s := atomic.LoadInt32(&t.slots[i])
-		if s == 0 {
-			return -1
-		}
-		g := s - 1
-		if coordsEqual(t.cells.Coords[int(g)*d:(int(g)+1)*d], co) {
-			return g
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
 // offsetGap2 returns the squared gap along one axis between two cubes of
 // side side that are o lattice steps apart.
 func offsetGap2(o int64, side float64) float64 {
@@ -509,12 +453,13 @@ func offsetGap2(o int64, side float64) float64 {
 }
 
 // axisReach returns the largest lattice offset along one axis whose gap alone
-// passes pruneBound: ⌈√d⌉, or √d+1 when d is a perfect square, where cubes
-// √d+1 apart are exactly eps away — the exact test (and the k-d path) keeps
-// them. The offset enumeration and the row sweep both reach this far.
-func (c *Cells) axisReach(pruneBound float64) int64 {
-	m := int64(math.Ceil(math.Sqrt(float64(c.Pts.D))))
-	for offsetGap2(m+1, c.Side) <= pruneBound {
+// passes pruneBound, for cubes of side side in d dimensions: ⌈√d⌉, or √d+1
+// when d is a perfect square, where cubes √d+1 apart are exactly eps away —
+// the exact test (and the k-d path) keeps them. The offset enumeration and the
+// row sweep both reach this far.
+func axisReach(d int, side, pruneBound float64) int64 {
+	m := int64(math.Ceil(math.Sqrt(float64(d))))
+	for offsetGap2(m+1, side) <= pruneBound {
 		m++
 	}
 	return m
@@ -525,61 +470,7 @@ func (c *Cells) axisReach(pruneBound float64) int64 {
 // searches use.
 func (c *Cells) LatticeReach() int {
 	eps2 := c.Eps * c.Eps * (1 + 1e-12)
-	return int(c.axisReach(eps2 * (1 + 1e-9)))
-}
-
-// enumNeighborsOf returns the cells that could contain points within eps of
-// the grid cube at absolute lattice coordinates abs, by enumerating all
-// integer coordinate offsets within axisReach per axis and looking each one
-// up in the cell hash table. exclude (a cell index, or -1) is omitted from
-// the result. The cube at abs need not be an existing cell — the streaming
-// structure uses this to find the eps-neighborhood of a destroyed cell.
-func (c *Cells) enumNeighborsOf(abs []int64, exclude int32) []int32 {
-	d := c.Pts.D
-	eps2 := c.Eps * c.Eps * (1 + 1e-12)
-	// Loose pruning bound for the offset recursion; the final decision uses
-	// the exact cube-distance test shared with the k-d path so that both
-	// methods return identical neighbor sets.
-	pruneBound := eps2 * (1 + 1e-9)
-	m := c.axisReach(pruneBound)
-	var nbrs []int32
-	k := geom.NewKernel(c.Pts)
-	probe := make([]int32, d)
-	buf := make([]float64, 4*d)
-	gLo, gHi, hLo, hHi := buf[:d], buf[d:2*d], buf[2*d:3*d], buf[3*d:]
-	absCubeInto(abs, c.Side, gLo, gHi)
-	var rec func(j int, dist2 float64)
-	rec = func(j int, dist2 float64) {
-		if dist2 > pruneBound {
-			return
-		}
-		if j == d {
-			// Self-exclusion is exclude's job alone (exclude = the queried
-			// cell for alive cells, -1 for vacated coordinates — where a
-			// cell reborn at the same coordinates IS a valid answer, and
-			// the k-d path already returns it).
-			if h := c.table.lookup(probe); h >= 0 && h != exclude {
-				c.cubeInto(int(h), hLo, hHi)
-				if k.BoxBoxDistSq(gLo, gHi, hLo, hHi) <= eps2 {
-					nbrs = append(nbrs, h)
-				}
-			}
-			return
-		}
-		for o := -m; o <= m; o++ {
-			// Probe coordinates are relative to the anchor; cells only exist
-			// at representable relative positions.
-			rel := abs[j] + o - c.Anchor[j]
-			if rel < math.MinInt32 || rel > math.MaxInt32 {
-				continue
-			}
-			probe[j] = int32(rel)
-			rec(j+1, dist2+offsetGap2(o, c.Side))
-		}
-	}
-	rec(0, 0)
-	sortNeighbors(nbrs)
-	return nbrs
+	return int(axisReach(c.Pts.D, c.Side, eps2*(1+1e-9)))
 }
 
 // ComputeNeighbors fills Neighbors for the listed cells (nil: every cell;
@@ -641,10 +532,12 @@ func (c *Cells) cellCenterTree(ex *parallel.Pool) (*kdtree.Tree, geom.Points) {
 	return kdtree.Build(ex, centers), centers
 }
 
-// kdNeighborsOf is enumNeighborsOf answered with a k-d tree over cell cube
-// centers instead of offset enumeration (identical results). slotOf maps a
-// tree point index back to its cell slot (nil = identity, when the tree
-// spans every cell).
+// kdNeighborsOf returns the cells whose cubes are within eps of the grid cube
+// at absolute lattice coordinates abs, except exclude (a cell index, or -1),
+// found by a range query on a k-d tree over cell cube centers. The lists equal
+// the offset enumeration's (Dynamic.enumNeighborsOf) and the row sweep's.
+// slotOf maps a tree point index back to its cell slot (nil = identity, when
+// the tree spans every cell).
 func (c *Cells) kdNeighborsOf(tree *kdtree.Tree, slotOf []int32, abs []int64, exclude int32) []int32 {
 	d := c.Pts.D
 	// Two cells can contain points within eps iff their cubes are within

@@ -137,14 +137,15 @@ const sweepGrain = 64
 // searches place the row pointers for the block's first cell, and the pointer
 // into a row each time the cell enters a new row; from there both only move
 // forward, because each row's target ascends with the cell. Rows and
-// candidates are pruned by the offset-gap bound of enumNeighborsOf, and each
-// candidate is decided by the k-d path's exact cube-distance test,
-// BoxBoxDistSq <= eps²(1+1e-12): its per-axis terms are computed once per
-// cell from the same float64 cube corners and summed in the same axis order,
-// so the sets equal the k-d ones bit for bit. Rows are visited in lattice
-// order, so each list comes out ascending. A block's lists share one
-// exact-size slab, copied from a scratch buffer the blocks recycle, each list
-// sliced to its own capacity so an append to one cannot overwrite the next.
+// candidates are pruned by the offset-gap bound of the offset enumeration
+// (Dynamic.enumNeighborsOf), and each candidate is decided by the k-d path's
+// exact cube-distance test, BoxBoxDistSq <= eps²(1+1e-12): its per-axis terms
+// are computed once per cell from the same float64 cube corners and summed in
+// the same axis order, so the sets equal the k-d ones bit for bit. Rows are
+// visited in lattice order, so each list comes out ascending. A block's lists
+// share one exact-size slab, copied from a scratch buffer the blocks recycle,
+// each list sliced to its own capacity so an append to one cannot overwrite
+// the next.
 func (c *Cells) sweepNeighbors(ex *parallel.Pool, cells []int32) {
 	d := c.Pts.D
 	numCells := c.NumCells()
@@ -154,8 +155,8 @@ func (c *Cells) sweepNeighbors(ex *parallel.Pool, cells []int32) {
 		count = len(cells)
 	}
 	eps2 := c.Eps * c.Eps * (1 + 1e-12)
-	pruneBound := eps2 * (1 + 1e-9) // as in enumNeighborsOf
-	m := c.axisReach(pruneBound)
+	pruneBound := eps2 * (1 + 1e-9) // as in Dynamic.enumNeighborsOf
+	m := axisReach(d, c.Side, pruneBound)
 
 	// Row offsets over the key axes but the last, in lexicographic order,
 	// each with its reach: the largest last-axis offset the prune bound

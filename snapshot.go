@@ -126,7 +126,8 @@ func RestoreStreaming(r io.Reader) (*StreamingClusterer, error) {
 	}
 
 	// The id table must name live point slots bijectively, in ascending id
-	// order, below the id counter.
+	// order, below the id counter: an id on a free slot, or two ids on one
+	// slot, would make a later Remove free a slot it does not own.
 	if len(ids) != len(slots) || len(ids) != dyn.NumPoints() {
 		return nil, fmt.Errorf("pdbscan: snapshot lists %d ids for %d slots and %d live points", len(ids), len(slots), dyn.NumPoints())
 	}
@@ -134,11 +135,19 @@ func RestoreStreaming(r io.Reader) (*StreamingClusterer, error) {
 		return nil, fmt.Errorf("pdbscan: snapshot id sequence invalid")
 	}
 	slotOf := make(map[int64]int32, len(ids))
+	named := make([]bool, dyn.NumPointSlots())
 	for k, id := range ids {
 		slot := slots[k]
 		if slot < 0 || int(slot) >= dyn.NumPointSlots() {
 			return nil, fmt.Errorf("pdbscan: snapshot id %d names point slot %d of %d", id, slot, dyn.NumPointSlots())
 		}
+		if ds.PtCell[slot] < 0 {
+			return nil, fmt.Errorf("pdbscan: snapshot id %d names free point slot %d", id, slot)
+		}
+		if named[slot] {
+			return nil, fmt.Errorf("pdbscan: snapshot names point slot %d for two ids", slot)
+		}
+		named[slot] = true
 		if _, dup := slotOf[id]; dup {
 			return nil, fmt.Errorf("pdbscan: snapshot repeats id %d", id)
 		}

@@ -220,3 +220,45 @@ func TestSnapshotCorruption(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotRejectsBadIDTable: a stream whose id table names one point slot
+// for two ids, or names a free slot, must not restore, though its checksum is
+// valid: removing such an id would free a slot it does not own.
+func TestSnapshotRejectsBadIDTable(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tamper func(s *StreamingClusterer, free int32)
+	}{
+		{"two ids on one slot", func(s *StreamingClusterer, _ int32) { s.slots[1] = s.slots[0] }},
+		{"id on a free slot", func(s *StreamingClusterer, free int32) { s.slots[0] = free }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewStreamingClusterer(2, 3.0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := snapFill(t, s, 100, 7)
+			free := s.slotOf[ids[50]]
+			if err := s.Remove(ids[50]); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := s.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := RestoreStreaming(bytes.NewReader(buf.Bytes())); err != nil {
+				t.Fatalf("valid snapshot rejected: %v", err)
+			}
+			// Encode the tampered table through the real encoder, so the
+			// stream's checksum covers it.
+			tc.tamper(s, free)
+			buf.Reset()
+			if err := s.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := RestoreStreaming(bytes.NewReader(buf.Bytes())); err == nil {
+				t.Fatal("snapshot with a tampered id table restored")
+			}
+		})
+	}
+}
