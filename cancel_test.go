@@ -38,7 +38,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 		t.Fatalf("pre-cancelled RunContext: err = %v", err)
 	}
 	// Nothing was built for the cancelled run; the next run is clean.
-	if got := c.builds.Load(); got != 0 {
+	if got := c.cells.builds.Load(); got != 0 {
 		t.Fatalf("builds = %d after pre-cancelled run, want 0", got)
 	}
 	want, err := Cluster(rows, Config{Eps: 2, MinPts: 8})

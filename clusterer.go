@@ -25,30 +25,27 @@ import (
 // A Clusterer is safe for concurrent use: Run calls may overlap freely, each
 // honoring its own Config.Workers budget. The cell structure for each layout
 // (grid, and box for 2D methods) is built lazily on the first Run that needs
-// it; concurrent first Runs block until the one build finishes.
+// it; a Run that needs a structure another Run is still building waits for
+// that build, or for its own cancellation, whichever comes first.
 //
 // The points slice handed to NewClustererFlat (or the rows copied by
 // NewClusterer) must not be mutated while the Clusterer is in use.
 type Clusterer struct {
-	pts geom.Points
+	pts geom.Points // Data is nil for a store-backed Clusterer; see pointsFor
 	eps float64
 
-	grid lazyCells // grid layout (Section 4.1), any dimension
-	box  lazyCells // box layout (Section 4.2), 2D methods only
-
-	// parts caches the spatial partitions by (cells, shard count): like the
-	// cells they cut, they depend only on the points and eps, so a sweep of
-	// Runs pays MakePartition's sorts once.
-	partMu sync.Mutex
-	parts  map[partKey]*grid.Partition
-
-	// samples caches the sampled-core masks by (sampler, fraction, seed):
-	// a mask depends only on the points and those three knobs, so a sweep of
-	// sampled Runs (or repeated service requests with one sampling config)
-	// pays the sampler once. Masks are immutable once built; cancelled
-	// builds are never cached.
-	sampleMu sync.Mutex
-	samples  map[sampleKey][]bool
+	// Everything a Clusterer derives from its points is built once, on first
+	// use, through a memo (see memo.get): the cell structure per layout
+	// (false: grid, Section 4.1; true: box, Section 4.2), its partitions by
+	// (cells, shard count), the sampled-core masks by (sampler, fraction,
+	// seed), the hierarchies by MinPts, and a store-backed Clusterer's
+	// points. None depends on anything else a Run varies, so a sweep pays
+	// each once.
+	cells    memo[bool, *grid.Cells]
+	parts    memo[partKey, *grid.Partition]
+	samples  memo[sampleKey, []bool]
+	hiers    memo[int, *Hierarchy]
+	storePts memo[struct{}, geom.Points]
 
 	// arena pools the pipeline's per-run and per-worker scratch buffers, so
 	// repeated Run calls are near-allocation-free in steady state. Checkout
@@ -56,39 +53,102 @@ type Clusterer struct {
 	// the arena across overlapping Runs is safe.
 	arena *core.Arena
 
-	// hiers caches one Hierarchy per MinPts (hierarchies depend only on the
-	// points, eps, and MinPts). Entries follow the lazyCells discipline —
-	// cancelled builds are discarded, never latched.
-	hierMu   sync.Mutex
-	hiers    map[int]*lazyHierarchy
 	hierHook func(phase string) // test seam: forwarded as the build's PhaseHook
 
 	statsMu   sync.Mutex
 	lastStats RunStats
 
 	// store, when non-nil, backs this Clusterer with an on-disk cell store
-	// (OpenStoreClusterer): Spill runs stream it window by window, the
-	// in-RAM paths address the whole payload through storeMap (created
-	// lazily, resident on demand via the page cache), and every result is
-	// scattered back to the writing Clusterer's point order.
-	store    *cellstore.Store
-	storeMu  sync.Mutex
-	storeMap *cellstore.Mapping
-
-	builds atomic.Int32 // number of completed cell-structure builds (for tests)
+	// (OpenStoreClusterer): Spill runs stream it window by window, and the
+	// in-RAM paths run on the points gathered from it once, in the writing
+	// Clusterer's point order (pointsFor).
+	store *cellstore.Store
 }
 
-// lazyCells builds a cell structure at most once — unless a build is
-// cancelled, in which case the half-built structure is discarded and the
-// next run that needs the layout rebuilds it from scratch (which is why this
-// is explicit state rather than a sync.Once: a Once would latch the
-// cancelled build forever). While a build is in flight, `building` holds a
-// channel closed when it finishes, so waiting runs can select it against
-// their own cancellation instead of blocking unboundedly on the mutex.
-type lazyCells struct {
-	mu       sync.Mutex
-	building chan struct{} // non-nil while a build is in flight
-	cells    *grid.Cells
+// memo builds the value of each key at most once and keeps it. The first
+// request for a key claims the build and runs it outside the lock, so builds
+// of different keys run side by side; a request that finds the key's build in
+// flight waits for it, or for its own pool's cancellation, whichever comes
+// first. A build that fails, or whose pool was cancelled (its parallel loops
+// may have skipped blocks), is discarded, not kept, and the next request
+// builds again — which is why this is not a sync.Once, which would latch the
+// failed build forever.
+type memo[K comparable, V any] struct {
+	mu      sync.Mutex
+	entries map[K]*memoEntry[V]
+	builds  atomic.Int32 // kept builds (for tests)
+}
+
+// memoEntry is one key's build: in flight until done is closed, kept after
+// that if ok. A discarded build's entry leaves the map before done closes.
+type memoEntry[V any] struct {
+	done chan struct{}
+	val  V
+	ok   bool
+}
+
+// get returns key's kept value — at once, even on a cancelled pool — or
+// builds it with build, whose parallel work runs on ex.
+func (m *memo[K, V]) get(ex *parallel.Pool, key K, build func() (V, error)) (V, error) {
+	var zero V
+	for {
+		m.mu.Lock()
+		e := m.entries[key]
+		if e != nil && e.ok {
+			m.mu.Unlock()
+			return e.val, nil
+		}
+		if err := ex.Err(); err != nil {
+			m.mu.Unlock()
+			return zero, err
+		}
+		if e == nil {
+			e = &memoEntry[V]{done: make(chan struct{})}
+			if m.entries == nil {
+				m.entries = make(map[K]*memoEntry[V])
+			}
+			m.entries[key] = e
+			m.mu.Unlock()
+			return m.run(ex, key, e, build)
+		}
+		m.mu.Unlock()
+		select {
+		case <-e.done:
+			// Kept (the fast path above), or discarded (this request claims
+			// the rebuild).
+		case <-ex.Done():
+			return zero, ex.Err()
+		}
+	}
+}
+
+// run builds the entry this request claimed. The settle is deferred, so a
+// panicking build (surfaced as an error at the API boundary) still releases
+// its claim instead of leaving every later request waiting on it.
+func (m *memo[K, V]) run(ex *parallel.Pool, key K, e *memoEntry[V], build func() (V, error)) (V, error) {
+	keep := false
+	var v V
+	defer func() {
+		m.mu.Lock()
+		if keep {
+			e.val, e.ok = v, true
+			m.builds.Add(1)
+		} else {
+			delete(m.entries, key)
+		}
+		m.mu.Unlock()
+		close(e.done)
+	}()
+	v, err := build()
+	if err == nil {
+		err = ex.Err()
+	}
+	if err != nil {
+		var zero V
+		return zero, err
+	}
+	keep = true
+	return v, nil
 }
 
 // NewClusterer prepares a Clusterer for the given coordinate rows (all rows
@@ -192,81 +252,23 @@ func resolveMethod(d int, cfg *Config, params *core.Params) (useBox bool, err er
 }
 
 // cellsFor returns the cell structure for the requested layout, building it
-// on first use with the given executor. If the executor's context is
-// cancelled during (or before) the build, the half-built structure is
-// discarded, the context's error is returned, and the next run that needs
-// the layout rebuilds it. A run that arrives while another run's build is
-// in flight waits for that build — but selects the wait against its own
-// cancellation, so a cancelled waiter still returns promptly instead of
-// blocking for the duration of someone else's build.
+// on first use with the given executor (see memo.get for what a cancelled or
+// concurrent request sees).
 func (c *Clusterer) cellsFor(useBox bool, ex *parallel.Pool) (*grid.Cells, error) {
-	lc := &c.grid
-	if useBox {
-		lc = &c.box
-	}
-	for {
-		lc.mu.Lock()
-		if lc.cells != nil {
-			cells := lc.cells
-			lc.mu.Unlock()
-			return cells, nil
-		}
-		if err := ex.Err(); err != nil {
-			lc.mu.Unlock()
+	return c.cells.get(ex, useBox, func() (*grid.Cells, error) {
+		pts, err := c.pointsFor(ex)
+		if err != nil {
 			return nil, err
 		}
-		if lc.building == nil {
-			// Claim the build. The lock is released while building (the
-			// build parallelizes on ex); done is closed when it settles.
-			// The settle runs in a defer so that a panic inside the build
-			// (surfaced as an error at the API boundary) still releases the
-			// build slot — otherwise every later run would deadlock on it.
-			done := make(chan struct{})
-			lc.building = done
-			lc.mu.Unlock()
-			var cells *grid.Cells
-			publish := false
-			defer func() {
-				lc.mu.Lock()
-				lc.building = nil
-				if publish {
-					lc.cells = cells
-					c.builds.Add(1)
-				}
-				lc.mu.Unlock()
-				close(done)
-			}()
-			cells = c.buildCells(useBox, ex)
-			// A build on a cancelled pool may have skipped parallel blocks,
-			// leaving the structure arbitrary; publish only clean builds.
-			if err := ex.Err(); err != nil {
-				return nil, err
-			}
-			publish = true
+		if useBox {
+			cells := grid.BuildBox2D(ex, pts, c.eps)
+			cells.ComputeNeighborsBox2D(ex)
 			return cells, nil
 		}
-		done := lc.building
-		lc.mu.Unlock()
-		select {
-		case <-done:
-			// Re-check: the build either published (fast path above) or was
-			// cancelled by its owner (this run claims the rebuild).
-		case <-ex.Done():
-			return nil, ex.Err()
-		}
-	}
-}
-
-// buildCells constructs the requested layout's cell structure on ex.
-func (c *Clusterer) buildCells(useBox bool, ex *parallel.Pool) *grid.Cells {
-	if useBox {
-		cells := grid.BuildBox2D(ex, c.pts, c.eps)
-		cells.ComputeNeighborsBox2D(ex)
-		return cells
-	}
-	cells := grid.BuildGrid(ex, c.pts, c.eps)
-	cells.ComputeNeighbors(ex, nil)
-	return cells
+		cells := grid.BuildGrid(ex, pts, c.eps)
+		cells.ComputeNeighbors(ex, nil)
+		return cells, nil
+	})
 }
 
 // sampleKey identifies one sampled-core mask in the Clusterer's cache.
@@ -276,67 +278,67 @@ type sampleKey struct {
 	seed    int64
 }
 
-// sampleFor returns the cached sampled-core mask for cfg's sampling knobs,
-// building it on first use with the given executor. Masks are immutable once
-// built; the lock only serializes construction. A mask built on a cancelled
-// pool may be arbitrary (the samplers bail early) and is never cached.
+// sampleFor returns the sampled-core mask for cfg's sampling knobs, building
+// it on first use with the given executor. Masks are immutable once built.
 func (c *Clusterer) sampleFor(cfg *Config, ex *parallel.Pool) ([]bool, error) {
 	key := sampleKey{cfg.Sampler, cfg.SampleFrac, cfg.SampleSeed}
-	c.sampleMu.Lock()
-	defer c.sampleMu.Unlock()
-	if m, ok := c.samples[key]; ok {
-		return m, nil
-	}
-	var mask []bool
-	switch cfg.Sampler {
-	case SamplerUniform:
-		mask = core.UniformMask(ex, c.pts.N, cfg.SampleFrac, cfg.SampleSeed)
-	case SamplerKCenter:
-		mask = core.KCenterMask(ex, c.pts, cfg.SampleFrac, cfg.SampleSeed)
-	default:
+	return c.samples.get(ex, key, func() ([]bool, error) {
+		switch cfg.Sampler {
+		case SamplerUniform:
+			return core.UniformMask(ex, c.pts.N, cfg.SampleFrac, cfg.SampleSeed), nil
+		case SamplerKCenter:
+			pts, err := c.pointsFor(ex)
+			if err != nil {
+				return nil, err
+			}
+			return core.KCenterMask(ex, pts, cfg.SampleFrac, cfg.SampleSeed), nil
+		}
 		return nil, fmt.Errorf("pdbscan: unknown sampler %q", cfg.Sampler)
-	}
-	if err := ex.Err(); err != nil {
-		return nil, err
-	}
-	if c.samples == nil {
-		c.samples = make(map[sampleKey][]bool)
-	}
-	c.samples[key] = mask
-	return mask, nil
+	})
 }
 
 // partKey identifies one cached partition: the cells it cuts (one layout's
-// published structure) and the requested shard count. Both layouts have a
+// kept structure) and the requested shard count. Both layouts have a
 // one-shard partition, so the shard count alone does not name one.
 type partKey struct {
 	cells  *grid.Cells
 	shards int
 }
 
-// partitionFor returns the cached partition of the given cells for the given
-// shard count, building it on first use. Partitions are immutable once
-// built; the lock only serializes construction.
+// partitionFor returns the partition of the given cells for the given shard
+// count, building it on first use. Partitions are immutable once built.
 func (c *Clusterer) partitionFor(cells *grid.Cells, shards int, ex *parallel.Pool) (*grid.Partition, error) {
-	key := partKey{cells, shards}
-	c.partMu.Lock()
-	defer c.partMu.Unlock()
-	if p, ok := c.parts[key]; ok {
-		return p, nil
+	return c.parts.get(ex, partKey{cells, shards}, func() (*grid.Partition, error) {
+		return grid.MakePartition(ex, cells, shards)
+	})
+}
+
+// pointsFor returns the points every in-RAM structure is built on, in this
+// Clusterer's point order. A store-backed Clusterer gathers them from the
+// store once: row r of the store's payload is the writing Clusterer's point
+// OrigIdx()[r], so its cells, masks, hierarchies and results are the
+// writer's own. The mapping is released once the rows are copied.
+func (c *Clusterer) pointsFor(ex *parallel.Pool) (geom.Points, error) {
+	if c.store == nil {
+		return c.pts, nil
 	}
-	p, err := grid.MakePartition(ex, cells, shards)
-	if err != nil {
-		return nil, err
-	}
-	// A partition cut on a cancelled pool may be arbitrary; never cache it.
-	if err := ex.Err(); err != nil {
-		return nil, err
-	}
-	if c.parts == nil {
-		c.parts = make(map[partKey]*grid.Partition)
-	}
-	c.parts[key] = p
-	return p, nil
+	return c.storePts.get(ex, struct{}{}, func() (geom.Points, error) {
+		m, err := c.store.MapPoints(0, c.store.NumCells())
+		if err != nil {
+			return geom.Points{}, err
+		}
+		defer m.Release()
+		n, d := c.pts.N, c.pts.D
+		data := make([]float64, n*d)
+		orig := c.store.OrigIdx()
+		ex.BlockedFor(n, 0, func(lo, hi int) {
+			for r := lo; r < hi; r++ {
+				o := int(orig[r]) * d
+				copy(data[o:o+d], m.Data[r*d:(r+1)*d])
+			}
+		})
+		return geom.Points{N: n, D: d, Data: data}, nil
+	})
 }
 
 // Prepare eagerly builds the cell structure cfg's Method needs (the grid
@@ -355,11 +357,6 @@ func (c *Clusterer) Prepare(cfg Config) (err error) {
 	}
 	if err := validateBudgetConfig(&cfg); err != nil {
 		return err
-	}
-	if c.store != nil && !cfg.Spill {
-		if err := c.ensureMapped(); err != nil {
-			return err
-		}
 	}
 	if cfg.Spill {
 		return nil // Spill runs need no in-RAM cell structure
@@ -458,11 +455,6 @@ func (c *Clusterer) RunContext(ctx context.Context, cfg Config) (res *Result, er
 		if cres, shards, err = c.runInRAM(ex, &cfg, params, useBox); err != nil {
 			return nil, err
 		}
-		if c.store != nil {
-			// Store-backed payloads are laid out in store order; hand
-			// results back in the writing Clusterer's point order.
-			core.ScatterResult(ex, cres, c.store.OrigIdx())
-		}
 	}
 	total := time.Since(start)
 	phases := tm.Mark + tm.Graph + tm.Merge + tm.Label + tm.Border
@@ -491,11 +483,6 @@ func (c *Clusterer) RunContext(ctx context.Context, cfg Config) (res *Result, er
 // runInRAM runs the sharded executor over this Clusterer's cell structure
 // and reports the effective shard count.
 func (c *Clusterer) runInRAM(ex *parallel.Pool, cfg *Config, params core.Params, useBox bool) (*core.Result, int, error) {
-	if c.store != nil {
-		if err := c.ensureMapped(); err != nil {
-			return nil, 0, err
-		}
-	}
 	if cfg.Sampler != SamplerNone {
 		mask, err := c.sampleFor(cfg, ex)
 		if err != nil {

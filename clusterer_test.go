@@ -1,9 +1,14 @@
 package pdbscan
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
+
+	"pdbscan/internal/parallel"
 )
 
 // labelsEqual reports whether two results are identical clusterings
@@ -84,7 +89,7 @@ func TestClustererReusesCellStructure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := c.builds.Load(); got != 1 {
+	if got := c.cells.builds.Load(); got != 1 {
 		t.Fatalf("grid layout built %d times across 5 runs, want 1", got)
 	}
 	// A box-layout method triggers exactly one more build.
@@ -93,7 +98,7 @@ func TestClustererReusesCellStructure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := c.builds.Load(); got != 2 {
+	if got := c.cells.builds.Load(); got != 2 {
 		t.Fatalf("builds = %d after box-method runs, want 2 (one per layout)", got)
 	}
 }
@@ -147,7 +152,7 @@ func TestClustererPrepare(t *testing.T) {
 	if err := c.Prepare(Config{Workers: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.builds.Load(); got != 1 {
+	if got := c.cells.builds.Load(); got != 1 {
 		t.Fatalf("builds = %d after Prepare, want 1", got)
 	}
 	if _, err := c.Run(Config{MinPts: 5, Workers: 1}); err != nil {
@@ -156,7 +161,7 @@ func TestClustererPrepare(t *testing.T) {
 	if err := c.Prepare(Config{}); err != nil { // repeat: no-op
 		t.Fatal(err)
 	}
-	if got := c.builds.Load(); got != 1 {
+	if got := c.cells.builds.Load(); got != 1 {
 		t.Fatalf("builds = %d after Run+Prepare, want 1 (reused)", got)
 	}
 	if err := c.Prepare(Config{Eps: 99}); err == nil {
@@ -312,7 +317,127 @@ func TestClustererConcurrentRuns(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := c.builds.Load(); got != 2 {
+	if got := c.cells.builds.Load(); got != 2 {
 		t.Errorf("builds = %d across 12 concurrent runs, want 2 (one per layout)", got)
+	}
+}
+
+// memoTestPool returns a pool observing a fresh cancellable context.
+func memoTestPool() (*parallel.Pool, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(context.Background())
+	return parallel.NewPoolContext(ctx, 1), cancel
+}
+
+// TestMemoCancelledWaiterReturns: a request that finds its key's build in
+// flight returns its own pool's error as soon as that pool is cancelled,
+// while the build is still blocked, and the build is then kept for everyone
+// else.
+func TestMemoCancelledWaiterReturns(t *testing.T) {
+	var m memo[int, string]
+	started, release := make(chan struct{}), make(chan struct{})
+	owner := make(chan error, 1)
+	go func() {
+		_, err := m.get(nil, 1, func() (string, error) {
+			close(started)
+			<-release
+			return "built", nil
+		})
+		owner <- err
+	}()
+	<-started
+	ex, cancel := memoTestPool()
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := m.get(ex, 1, func() (string, error) {
+			t.Error("waiter claimed a build already in flight")
+			return "", nil
+		})
+		waiter <- err
+	}()
+	select {
+	case err := <-waiter:
+		t.Fatalf("waiter returned before its pool was cancelled (err %v)", err)
+	case <-time.After(10 * time.Millisecond): // it is waiting on the build
+	}
+	cancel()
+	if err := <-waiter; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter: err = %v, want context.Canceled", err)
+	}
+	select {
+	case err := <-owner:
+		t.Fatalf("build settled before its release (err %v)", err)
+	default:
+	}
+	close(release)
+	if err := <-owner; err != nil {
+		t.Fatal(err)
+	}
+	// A kept value is returned even on a cancelled pool.
+	if v, err := m.get(ex, 1, nil); err != nil || v != "built" {
+		t.Fatalf("kept value on a cancelled pool: %q, %v", v, err)
+	}
+}
+
+// TestMemoKeysBuildSideBySide: the build of one key does not hold up the
+// build of another.
+func TestMemoKeysBuildSideBySide(t *testing.T) {
+	var m memo[int, int]
+	started, release := make(chan struct{}), make(chan struct{})
+	first := make(chan error, 1)
+	go func() {
+		_, err := m.get(nil, 1, func() (int, error) {
+			close(started)
+			<-release
+			return 1, nil
+		})
+		first <- err
+	}()
+	<-started
+	if v, err := m.get(nil, 2, func() (int, error) { return 2, nil }); err != nil || v != 2 {
+		t.Fatalf("second key while the first builds: %d, %v", v, err)
+	}
+	close(release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	if got := m.builds.Load(); got != 2 {
+		t.Fatalf("kept builds = %d, want 2", got)
+	}
+}
+
+// TestMemoDiscardsFailedBuilds: an erroring build, a build whose pool is
+// cancelled, and a panicking build are each discarded, and the next request
+// builds again; a kept value never calls build again.
+func TestMemoDiscardsFailedBuilds(t *testing.T) {
+	var m memo[string, int]
+	calls := 0
+	ok := func() (int, error) { calls++; return 7, nil }
+	fail := errors.New("build failed")
+	if _, err := m.get(nil, "k", func() (int, error) { calls++; return 0, fail }); !errors.Is(err, fail) {
+		t.Fatalf("erroring build: err = %v", err)
+	}
+	ex, cancel := memoTestPool()
+	if _, err := m.get(ex, "k", func() (int, error) { calls++; cancel(); return 1, nil }); !errors.Is(err, context.Canceled) {
+		t.Fatalf("build on a cancelled pool: err = %v", err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("panicking build did not panic")
+			}
+		}()
+		m.get(nil, "k", func() (int, error) { calls++; panic("boom") })
+	}()
+	if n := len(m.entries); n != 0 || m.builds.Load() != 0 {
+		t.Fatalf("failed builds left %d entries, %d kept", n, m.builds.Load())
+	}
+	if v, err := m.get(nil, "k", ok); err != nil || v != 7 {
+		t.Fatalf("build after failures: %d, %v", v, err)
+	}
+	if v, err := m.get(nil, "k", ok); err != nil || v != 7 {
+		t.Fatalf("kept value: %d, %v", v, err)
+	}
+	if calls != 4 || m.builds.Load() != 1 {
+		t.Fatalf("build called %d times, %d kept; want 4 and 1", calls, m.builds.Load())
 	}
 }

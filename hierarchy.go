@@ -66,15 +66,6 @@ type HierarchyStats struct {
 	Workers  int
 }
 
-// lazyHierarchy caches one MinPts' hierarchy on the Clusterer, following the
-// lazyCells discipline: a cancelled build is discarded — never latched — and
-// the next request rebuilds; waiters select the in-flight build against
-// their own cancellation.
-type lazyHierarchy struct {
-	building chan struct{} // non-nil while a build is in flight
-	h        *Hierarchy
-}
-
 // BuildHierarchy builds (or returns the cached) hierarchy at the given
 // MinPts, using all CPUs. It is BuildHierarchyContext with a background
 // context and a default Config.
@@ -89,10 +80,10 @@ func (c *Clusterer) BuildHierarchy(minPts int) (*Hierarchy, error) {
 // direct cell scans.
 //
 // Hierarchies are cached per MinPts: the first call builds, later calls
-// return the same *Hierarchy. Cancellation follows the lazyCells rule — a
-// build interrupted by ctx stops at the next phase or cell boundary, returns
-// ctx.Err(), and discards its partial state, so a later call rebuilds from
-// scratch rather than serving a half-built structure.
+// return the same *Hierarchy. Cancellation follows the Clusterer's cache rule
+// (memo.get) — a build interrupted by ctx stops at the next phase or cell
+// boundary, returns ctx.Err(), and is discarded, so a later call rebuilds
+// from scratch rather than serving a half-built structure.
 func (c *Clusterer) BuildHierarchyContext(ctx context.Context, cfg Config) (h *Hierarchy, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -111,54 +102,9 @@ func (c *Clusterer) BuildHierarchyContext(ctx context.Context, cfg Config) (h *H
 	}
 	defer recoverRunPanic(ctx, &err)
 	ex := parallel.NewPoolContext(ctx, cfg.Workers)
-	for {
-		c.hierMu.Lock()
-		if c.hiers == nil {
-			c.hiers = make(map[int]*lazyHierarchy)
-		}
-		lh := c.hiers[cfg.MinPts]
-		if lh == nil {
-			lh = &lazyHierarchy{}
-			c.hiers[cfg.MinPts] = lh
-		}
-		if lh.h != nil {
-			h := lh.h
-			c.hierMu.Unlock()
-			return h, nil
-		}
-		if err := ex.Err(); err != nil {
-			c.hierMu.Unlock()
-			return nil, err
-		}
-		if lh.building == nil {
-			// Claim the build; the settle runs in a defer so a panic inside
-			// the build still releases the slot. Publish only clean builds.
-			done := make(chan struct{})
-			lh.building = done
-			c.hierMu.Unlock()
-			var built *Hierarchy
-			defer func() {
-				c.hierMu.Lock()
-				lh.building = nil
-				if built != nil {
-					lh.h = built
-				}
-				c.hierMu.Unlock()
-				close(done)
-			}()
-			built, err = c.buildHierarchy(cfg.MinPts, ex)
-			return built, err
-		}
-		done := lh.building
-		c.hierMu.Unlock()
-		select {
-		case <-done:
-			// Re-check: published, or cancelled by its owner (we may claim
-			// the rebuild).
-		case <-ex.Done():
-			return nil, ex.Err()
-		}
-	}
+	return c.hiers.get(ex, cfg.MinPts, func() (*Hierarchy, error) {
+		return c.buildHierarchy(cfg.MinPts, ex)
+	})
 }
 
 // buildHierarchy runs the core build and assembles the query-side state.

@@ -212,8 +212,8 @@ func TestHierarchyCache(t *testing.T) {
 }
 
 // TestHierarchyBuildCancellation cancels a build from inside every pipeline
-// phase via the PhaseHook seam and checks the lazyCells discipline: the
-// cancelled build returns ctx.Err(), latches nothing, and the next build
+// phase via the PhaseHook seam and checks the Clusterer's cache rule: the
+// cancelled build returns ctx.Err(), keeps nothing, and the next build
 // runs clean and answers queries exactly like batch Cluster.
 func TestHierarchyBuildCancellation(t *testing.T) {
 	rows := blobs(900, 2, 41)
@@ -232,12 +232,12 @@ func TestHierarchyBuildCancellation(t *testing.T) {
 		if err != context.Canceled {
 			t.Fatalf("phase %s: err = %v, want context.Canceled", phase, err)
 		}
-		c.hierMu.Lock()
-		lh := c.hiers[5]
-		if lh == nil || lh.h != nil || lh.building != nil {
-			t.Fatalf("phase %s: cancelled build latched state: %+v", phase, lh)
+		c.hiers.mu.Lock()
+		e := c.hiers.entries[5]
+		c.hiers.mu.Unlock()
+		if e != nil {
+			t.Fatalf("phase %s: cancelled build latched state: %+v", phase, e)
 		}
-		c.hierMu.Unlock()
 		// The rebuild must start from scratch and produce the exact answer.
 		c.hierHook = nil
 		h, err := c.BuildHierarchy(5)
@@ -266,7 +266,7 @@ func TestHierarchyBuildCancellation(t *testing.T) {
 	if _, err := c.BuildHierarchyContext(ctx, Config{MinPts: 5}); err != context.Canceled {
 		t.Fatalf("pre-cancelled build: err = %v", err)
 	}
-	if c.hiers != nil && c.hiers[5] != nil && (c.hiers[5].h != nil || c.hiers[5].building != nil) {
+	if e := c.hiers.entries[5]; e != nil {
 		t.Fatal("pre-cancelled build left state behind")
 	}
 }

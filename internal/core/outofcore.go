@@ -63,14 +63,14 @@ func RunOutOfCore(store *cellstore.Store, p Params, maxResidentBytes int64) (*Re
 	if err != nil {
 		return nil, nil, err
 	}
-	ScatterResult(p.Exec, res, store.OrigIdx())
+	scatterResult(p.Exec, res, store.OrigIdx())
 	return res, &src.stats, nil
 }
 
-// ScatterResult re-indexes a store-order result in place into the writer's
+// scatterResult re-indexes a store-order result in place into the writer's
 // point order: labels, core flags and border keys move through origIdx, the
 // writer's point index of each store row.
-func ScatterResult(ex *parallel.Pool, res *Result, origIdx []uint32) {
+func scatterResult(ex *parallel.Pool, res *Result, origIdx []uint32) {
 	n := len(res.Labels)
 	labels := make([]int32, n)
 	coreFlags := make([]bool, n)

@@ -131,10 +131,9 @@ type session struct {
 
 // run is one async engine job owned by a session.
 type run struct {
-	id        string
-	streaming bool
-	job       *engine.Job
-	cancel    context.CancelFunc
+	id     string
+	job    *engine.Job
+	cancel context.CancelFunc
 }
 
 // New returns a Server wrapping a fresh engine.Engine built from
@@ -394,14 +393,19 @@ func jobStatus(err error) int {
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
-	if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-		secs := int((s.retryAfter + time.Second - 1) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
-	}
+	s.setRetryAfter(w, status)
 	writeJSON(w, status, errorResponse{Error: err.Error()})
+}
+
+// setRetryAfter sets the Retry-After hint, in whole seconds rounded up, on
+// the statuses that ask a client to come back later: 429 (queue full) and
+// 503 (draining or closed).
+func (s *Server) setRetryAfter(w http.ResponseWriter, status int) {
+	if status != http.StatusTooManyRequests && status != http.StatusServiceUnavailable {
+		return
+	}
+	secs := max(1, int((s.retryAfter+time.Second-1)/time.Second))
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -775,10 +779,9 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	sess.nextRun++
 	rn := &run{
-		id:        "r" + strconv.FormatUint(sess.nextRun, 10),
-		streaming: sess.kind == "streaming",
-		job:       job,
-		cancel:    cancel,
+		id:     "r" + strconv.FormatUint(sess.nextRun, 10),
+		job:    job,
+		cancel: cancel,
 	}
 	sess.runs[rn.id] = rn
 	sess.mu.Unlock()
@@ -799,10 +802,7 @@ func (s *Server) writeRunStatus(w http.ResponseWriter, id string, sess *session,
 	stats := &JobStatsJSON{Workers: st.Workers, QueuedNS: st.Queued.Nanoseconds(), RunNS: st.Run.Nanoseconds()}
 	if err := job.Err(); err != nil {
 		status := jobStatus(err)
-		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-			secs := int((s.retryAfter + time.Second - 1) / time.Second)
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-		}
+		s.setRetryAfter(w, status)
 		writeJSON(w, status, RunStatus{ID: id, State: "failed", Error: err.Error(), Stats: stats})
 		return
 	}

@@ -417,6 +417,47 @@ func TestShutdownDrain(t *testing.T) {
 	}
 }
 
+// TestClosedQueuedRunReads503: an async run still queued when the server
+// closes is settled by the engine with ErrClosed; fetching it afterwards
+// reads 503 with Retry-After, like every other come-back-later status.
+func TestClosedQueuedRunReads503(t *testing.T) {
+	srv, tc, done := newTestServer(t, Options{
+		Engine:     engine.Options{Budget: 1, MaxQueue: 4},
+		RetryAfter: 2 * time.Second,
+	})
+	defer done()
+	small := tc.createSession(CreateSessionRequest{Kind: "batch", Eps: 3, Points: genPoints(500, 8)})
+
+	// Hold the whole budget with a run that cannot early-exit core counting
+	// (see TestStatusCodeMapping), so the next run stays queued.
+	blockSess := tc.createSession(CreateSessionRequest{Kind: "batch", Eps: 2, Points: genPoints(300000, 10)})
+	var blocker, queued RunStatus
+	tc.expect("POST", "/v1/sessions/"+blockSess.ID+"/runs",
+		SubmitRunRequest{Config: ConfigJSON{MinPts: 200000}}, http.StatusAccepted, &blocker)
+	unblock := func() { tc.do("DELETE", "/v1/sessions/"+blockSess.ID+"/runs/"+blocker.ID, nil, nil) }
+	defer unblock()
+	tc.expect("POST", "/v1/sessions/"+small.ID+"/runs",
+		SubmitRunRequest{Config: ConfigJSON{MinPts: 5}}, http.StatusAccepted, &queued)
+
+	// Close settles the queued run with ErrClosed at once, then waits for
+	// the blocker, which the DELETE unwinds.
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	var got RunStatus
+	resp := tc.do("GET", "/v1/sessions/"+small.ID+"/runs/"+queued.ID+"?wait=1", nil, &got)
+	unblock()
+	<-closed
+	if resp.StatusCode != http.StatusServiceUnavailable || got.State != "failed" {
+		t.Fatalf("queued run after Close: status %d, body %+v; want 503/failed", resp.StatusCode, got)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "2" {
+		t.Fatalf("503 Retry-After = %q, want \"2\"", ra)
+	}
+}
+
 // TestConcurrentSessions drives mixed sessions concurrently through one
 // server under -race.
 func TestConcurrentSessions(t *testing.T) {

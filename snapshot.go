@@ -3,7 +3,6 @@ package pdbscan
 import (
 	"fmt"
 	"io"
-	"slices"
 
 	"pdbscan/internal/cellstore"
 	"pdbscan/internal/core"
@@ -125,18 +124,18 @@ func RestoreStreaming(r io.Reader) (*StreamingClusterer, error) {
 		return nil, err
 	}
 
-	// The id table must name live point slots bijectively, in ascending id
-	// order, below the id counter: an id on a free slot, or two ids on one
-	// slot, would make a later Remove free a slot it does not own.
+	// The id table must name live point slots bijectively, in strictly
+	// ascending id order (Remove and Point find ids by binary search), below
+	// the id counter: an id on a free slot, or two ids on one slot, would
+	// make a later Remove free a slot it does not own.
 	if len(ids) != len(slots) || len(ids) != dyn.NumPoints() {
 		return nil, fmt.Errorf("pdbscan: snapshot lists %d ids for %d slots and %d live points", len(ids), len(slots), dyn.NumPoints())
 	}
-	if !slices.IsSorted(ids) || (len(ids) > 0 && (ids[0] < 0 || ids[len(ids)-1] >= nextID)) {
-		return nil, fmt.Errorf("pdbscan: snapshot id sequence invalid")
-	}
-	slotOf := make(map[int64]int32, len(ids))
 	named := make([]bool, dyn.NumPointSlots())
 	for k, id := range ids {
+		if id < 0 || id >= nextID || (k > 0 && id <= ids[k-1]) {
+			return nil, fmt.Errorf("pdbscan: snapshot id sequence invalid at id %d", id)
+		}
 		slot := slots[k]
 		if slot < 0 || int(slot) >= dyn.NumPointSlots() {
 			return nil, fmt.Errorf("pdbscan: snapshot id %d names point slot %d of %d", id, slot, dyn.NumPointSlots())
@@ -148,10 +147,6 @@ func RestoreStreaming(r io.Reader) (*StreamingClusterer, error) {
 			return nil, fmt.Errorf("pdbscan: snapshot names point slot %d for two ids", slot)
 		}
 		named[slot] = true
-		if _, dup := slotOf[id]; dup {
-			return nil, fmt.Errorf("pdbscan: snapshot repeats id %d", id)
-		}
-		slotOf[id] = slot
 	}
 
 	return &StreamingClusterer{
@@ -162,7 +157,6 @@ func RestoreStreaming(r io.Reader) (*StreamingClusterer, error) {
 		arena:  core.NewArena(),
 		ids:    ids,
 		slots:  slots,
-		slotOf: slotOf,
 		nextID: nextID,
 	}, nil
 }

@@ -3,6 +3,7 @@ package pdbscan
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -222,8 +223,9 @@ func TestSnapshotCorruption(t *testing.T) {
 }
 
 // TestSnapshotRejectsBadIDTable: a stream whose id table names one point slot
-// for two ids, or names a free slot, must not restore, though its checksum is
-// valid: removing such an id would free a slot it does not own.
+// for two ids, names a free slot, or repeats an id must not restore, though
+// its checksum is valid: removing such an id would free a slot it does not
+// own, and a repeated id breaks the binary search that finds ids.
 func TestSnapshotRejectsBadIDTable(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -231,6 +233,7 @@ func TestSnapshotRejectsBadIDTable(t *testing.T) {
 	}{
 		{"two ids on one slot", func(s *StreamingClusterer, _ int32) { s.slots[1] = s.slots[0] }},
 		{"id on a free slot", func(s *StreamingClusterer, free int32) { s.slots[0] = free }},
+		{"repeated id", func(s *StreamingClusterer, _ int32) { s.ids[1] = s.ids[0] }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := NewStreamingClusterer(2, 3.0)
@@ -238,7 +241,8 @@ func TestSnapshotRejectsBadIDTable(t *testing.T) {
 				t.Fatal(err)
 			}
 			ids := snapFill(t, s, 100, 7)
-			free := s.slotOf[ids[50]]
+			k, _ := slices.BinarySearch(s.ids, ids[50])
+			free := s.slots[k]
 			if err := s.Remove(ids[50]); err != nil {
 				t.Fatal(err)
 			}

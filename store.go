@@ -43,21 +43,24 @@ func (c *Clusterer) WriteStore(path string, shards int) error {
 
 // OpenStoreClusterer opens a cell store written by WriteStore and returns a
 // Clusterer backed by it. Spill runs (Config.Spill) stream the store one
-// shard window at a time under Config.MaxResidentBytes; non-Spill runs map
-// the whole point payload (resident on demand via the page cache) and run the
-// normal in-RAM paths. Either way, results are indexed in the point order of
-// the Clusterer that wrote the store — bit-identically equal to that
-// Clusterer's own results for every grid-layout method.
+// shard window at a time under Config.MaxResidentBytes. Every other use —
+// non-Spill runs, Prepare, sampled runs, BuildHierarchy — first gathers the
+// points from the store once, into the writing Clusterer's point order (a
+// heap copy of the payload, as an in-memory Clusterer's cells hold), and
+// then runs the normal in-RAM paths. Either way, results are indexed in the
+// point order of the Clusterer that wrote the store and are bit-identically
+// equal to that Clusterer's own results for every method.
 //
-// Call Close when done to release the mappings and the file handle.
+// Call Close when done to release the file handle.
 func OpenStoreClusterer(path string) (*Clusterer, error) {
 	st, err := cellstore.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	return &Clusterer{
-		// Data stays nil until a non-Spill run maps the payload; the
-		// metadata-only fields serve NumPoints/Dims/Eps and Spill runs.
+		// Data stays nil: the in-RAM paths take their points from
+		// pointsFor; the metadata-only fields serve NumPoints/Dims/Eps and
+		// Spill runs.
 		pts:   geom.Points{N: st.NumPoints(), D: st.Dims()},
 		eps:   st.Eps(),
 		arena: core.NewArena(),
@@ -65,41 +68,11 @@ func OpenStoreClusterer(path string) (*Clusterer, error) {
 	}, nil
 }
 
-// Close releases a store-backed Clusterer's file handle and whole-payload
-// mapping. It is a no-op for in-memory Clusterers. The Clusterer must not be
-// used after Close.
+// Close releases a store-backed Clusterer's file handle. It is a no-op for
+// in-memory Clusterers. The Clusterer must not be used after Close.
 func (c *Clusterer) Close() error {
 	if c.store == nil {
 		return nil
 	}
-	c.storeMu.Lock()
-	defer c.storeMu.Unlock()
-	if c.storeMap != nil {
-		c.storeMap.Release()
-		c.storeMap = nil
-		c.pts.Data = nil
-	}
 	return c.store.Close()
-}
-
-// ensureMapped makes the whole point payload addressable as c.pts for the
-// in-RAM paths of a store-backed Clusterer. Store order is the layout on
-// disk; results are scattered back to the writer's order by
-// core.ScatterResult.
-func (c *Clusterer) ensureMapped() error {
-	if c.store == nil || c.pts.Data != nil {
-		return nil
-	}
-	c.storeMu.Lock()
-	defer c.storeMu.Unlock()
-	if c.pts.Data != nil {
-		return nil
-	}
-	m, err := c.store.MapPoints(0, c.store.NumCells())
-	if err != nil {
-		return err
-	}
-	c.storeMap = m
-	c.pts.Data = m.Data
-	return nil
 }

@@ -2,17 +2,20 @@ package pdbscan
 
 import (
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"pdbscan/internal/dataset"
 )
 
 // storeMethodsFor lists every clustering method applicable at dimension d,
-// paired with the equivalence each one guarantees for store-backed runs:
+// paired with the equivalence each one guarantees for Spill runs:
 // grid-layout methods are bit-identical to the writing Clusterer's results,
-// 2d-box-* methods (different monolithic cell layout) are equivalent up to a
-// label bijection.
+// 2d-box-* methods (served by the store's grid layout) are equivalent up to a
+// label bijection. Store-backed in-RAM runs are bit-identical for every
+// method: they build the writer's own cells from the writer's point order.
 func storeMethodsFor(d int) []struct {
 	m     Method
 	rho   float64
@@ -45,10 +48,11 @@ func storeMethodsFor(d int) []struct {
 	return out
 }
 
-// TestStoreRoundTripConformance is the tentpole exactness check: write a cell
+// TestStoreRoundTripConformance is the store's exactness check: write a cell
 // store, reopen it, and every run on the reopened store — both the in-RAM
 // path and the out-of-core Spill path, across every method and several shard
-// layouts — must reproduce the writing Clusterer's results.
+// layouts — must reproduce the writing Clusterer's results (bit for bit on
+// the in-RAM path, 2d-box-* methods included).
 func TestStoreRoundTripConformance(t *testing.T) {
 	for _, d := range []int{2, 3, 5} {
 		rows := blobs(1200, d, 11)
@@ -79,12 +83,8 @@ func TestStoreRoundTripConformance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("d=%d shards=%d %s: store Run: %v", d, shards, mc.m, err)
 				}
-				if mc.exact {
-					if err := labelsEqual(want, got); err != nil {
-						t.Fatalf("d=%d shards=%d %s: in-RAM store run differs: %v", d, shards, mc.m, err)
-					}
-				} else if err := equivalentResults(want, got); err != nil {
-					t.Fatalf("d=%d shards=%d %s: in-RAM store run not equivalent: %v", d, shards, mc.m, err)
+				if err := labelsEqual(want, got); err != nil {
+					t.Fatalf("d=%d shards=%d %s: in-RAM store run differs: %v", d, shards, mc.m, err)
 				}
 				spill := cfg
 				spill.Spill = true
@@ -217,5 +217,159 @@ func TestStoreMisuse(t *testing.T) {
 	// Close is idempotent for in-memory Clusterers.
 	if err := ref.Close(); err != nil {
 		t.Fatalf("Close on in-memory Clusterer: %v", err)
+	}
+}
+
+// writeTestStore writes ref's grid structure to a fresh store file at the
+// given shard count and returns its path.
+func writeTestStore(t *testing.T, ref *Clusterer, shards int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "pts.cells")
+	if err := ref.WriteStore(path, shards); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// openTestStore opens path as a store-backed Clusterer closed at cleanup.
+func openTestStore(t *testing.T, path string) *Clusterer {
+	t.Helper()
+	sc, err := OpenStoreClusterer(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sc.Close() })
+	return sc
+}
+
+// TestStoreHierarchyMatchesWriter: a store-backed Clusterer builds its
+// hierarchy on the writer's points in the writer's order, so every query
+// answers bit for bit like the writer's own hierarchy — whether the
+// hierarchy is the Clusterer's first use or follows a Run.
+func TestStoreHierarchyMatchesWriter(t *testing.T) {
+	rows := blobs(5000, 2, 43)
+	ref, err := NewClusterer(rows, 2.0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := writeTestStore(t, ref, 4)
+	want, err := ref.BuildHierarchy(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		runFirst bool
+	}{{"first use", false}, {"after a Run", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := openTestStore(t, path)
+			if tc.runFirst {
+				if _, err := sc.Run(Config{MinPts: 6}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h, err := sc.BuildHierarchy(6)
+			if err != nil {
+				t.Fatalf("BuildHierarchy: %v", err)
+			}
+			if !reflect.DeepEqual(h.CoreDistances(), want.CoreDistances()) {
+				t.Fatal("core distances differ from the writer's")
+			}
+			for _, eps := range []float64{0.8, 1.4, 2.0} {
+				got, err := h.CutEps(eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := want.CutEps(eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := labelsEqual(w, got); err != nil {
+					t.Fatalf("CutEps(%v) differs from the writer's: %v", eps, err)
+				}
+			}
+			got, gotEps, err := h.CutK(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, wantEps, err := want.CutK(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotEps != wantEps {
+				t.Fatalf("CutK(3) radius %v, writer's %v", gotEps, wantEps)
+			}
+			if err := labelsEqual(w, got); err != nil {
+				t.Fatalf("CutK(3) differs from the writer's: %v", err)
+			}
+		})
+	}
+}
+
+// TestStoreSampledMatchesWriter: a sampled-core mask draws the writer's
+// points, so uniform and k-center sampled runs on the store equal the
+// writer's runs with the same (Sampler, SampleFrac, SampleSeed).
+func TestStoreSampledMatchesWriter(t *testing.T) {
+	rows := blobs(6000, 2, 47)
+	ref, err := NewClusterer(rows, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := openTestStore(t, writeTestStore(t, ref, 4))
+	for _, sampler := range []Sampler{SamplerUniform, SamplerKCenter} {
+		t.Run(string(sampler), func(t *testing.T) {
+			cfg := Config{MinPts: 10, Sampler: sampler, SampleFrac: 0.3, SampleSeed: 5}
+			want, err := ref.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sc.Run(cfg)
+			if err != nil {
+				t.Fatalf("store Run: %v", err)
+			}
+			if err := labelsEqual(want, got); err != nil {
+				t.Fatalf("sampled store run differs from the writer's: %v", err)
+			}
+		})
+	}
+}
+
+// TestStoreConcurrentFirstRuns starts four Runs together on a fresh
+// store-backed Clusterer: they share one gather of the points and one cell
+// build (a data race here fails the test under -race), and each returns the
+// writer's result.
+func TestStoreConcurrentFirstRuns(t *testing.T) {
+	rows := blobs(20000, 2, 53)
+	ref, err := NewClusterer(rows, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{MinPts: 10}
+	want, err := ref.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := openTestStore(t, writeTestStore(t, ref, 4))
+	var wg sync.WaitGroup
+	errs := make([]error, 4)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got, err := sc.Run(Config{MinPts: 10, Workers: 1 + i%2})
+			if err == nil {
+				err = labelsEqual(want, got)
+			}
+			errs[i] = err
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("run %d: %v", i, err)
+		}
+	}
+	if got := sc.storePts.builds.Load(); got != 1 {
+		t.Errorf("points gathered %d times, want 1", got)
 	}
 }

@@ -54,9 +54,8 @@ type StreamingClusterer struct {
 	inc   *core.Incremental
 	arena *core.Arena // pooled pipeline scratch, reused across ticks
 
-	ids    []int64         // live ids, insertion order
-	slots  []int32         // point slot of ids[k] (kept aligned with ids)
-	slotOf map[int64]int32 // id -> point slot
+	ids    []int64 // live ids, insertion order (hence ascending)
+	slots  []int32 // point slot of ids[k] (kept aligned with ids)
 	nextID int64
 
 	lastStats StreamStats
@@ -117,12 +116,11 @@ func NewStreamingClusterer(dims int, eps float64) (*StreamingClusterer, error) {
 		return nil, fmt.Errorf("pdbscan: Eps must be positive, got %v", eps)
 	}
 	return &StreamingClusterer{
-		dims:   dims,
-		eps:    eps,
-		dyn:    grid.NewDynamic(dims, eps),
-		inc:    core.NewIncremental(),
-		arena:  core.NewArena(),
-		slotOf: make(map[int64]int32),
+		dims:  dims,
+		eps:   eps,
+		dyn:   grid.NewDynamic(dims, eps),
+		inc:   core.NewIncremental(),
+		arena: core.NewArena(),
 	}, nil
 }
 
@@ -152,12 +150,12 @@ func (s *StreamingClusterer) IDs() []int64 {
 func (s *StreamingClusterer) Point(id int64) ([]float64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	slot, ok := s.slotOf[id]
+	k, ok := slices.BinarySearch(s.ids, id)
 	if !ok {
 		return nil, false
 	}
 	out := make([]float64, s.dims)
-	copy(out, s.dyn.PointAt(slot))
+	copy(out, s.dyn.PointAt(s.slots[k]))
 	return out, true
 }
 
@@ -182,10 +180,8 @@ func (s *StreamingClusterer) Insert(points [][]float64) ([]int64, error) {
 	for i, row := range points {
 		id := s.nextID
 		s.nextID++
-		slot := s.dyn.Insert(row)
-		s.slotOf[id] = slot
 		s.ids = append(s.ids, id)
-		s.slots = append(s.slots, slot)
+		s.slots = append(s.slots, s.dyn.Insert(row))
 		out[i] = id
 	}
 	return out, nil
@@ -205,33 +201,35 @@ func (s *StreamingClusterer) InsertFlat(data []float64) ([]int64, error) {
 }
 
 // Remove deletes the points with the given ids. If any id is unknown, an
-// error is returned and nothing is removed.
+// error is returned and nothing is removed. A repeated id is removed once.
 func (s *StreamingClusterer) Remove(ids ...int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, id := range ids {
-		if _, ok := s.slotOf[id]; !ok {
+		if _, ok := slices.BinarySearch(s.ids, id); !ok {
 			return fmt.Errorf("pdbscan: unknown point id %d", id)
 		}
 	}
-	removed := make(map[int64]bool, len(ids))
+	// Mark each removed entry's slot -1 (a repeated id finds its entry
+	// already marked), then compact the table once from the first mark.
+	first := len(s.ids)
 	for _, id := range ids {
-		if removed[id] {
+		k, _ := slices.BinarySearch(s.ids, id)
+		if s.slots[k] < 0 {
 			continue
 		}
-		removed[id] = true
-		s.dyn.Remove(s.slotOf[id])
-		delete(s.slotOf, id)
+		s.dyn.Remove(s.slots[k])
+		s.slots[k] = -1
+		first = min(first, k)
 	}
-	keptIDs := s.ids[:0]
-	keptSlots := s.slots[:0]
-	for k, id := range s.ids {
-		if !removed[id] {
-			keptIDs = append(keptIDs, id)
-			keptSlots = append(keptSlots, s.slots[k])
+	kept := first
+	for k := first; k < len(s.ids); k++ {
+		if s.slots[k] >= 0 {
+			s.ids[kept], s.slots[kept] = s.ids[k], s.slots[k]
+			kept++
 		}
 	}
-	s.ids, s.slots = keptIDs, keptSlots
+	s.ids, s.slots = s.ids[:kept], s.slots[:kept]
 	return nil
 }
 
@@ -248,9 +246,8 @@ func (s *StreamingClusterer) Window(n int) []int64 {
 	}
 	evict := make([]int64, len(s.ids)-n)
 	copy(evict, s.ids[:len(evict)])
-	for k, id := range evict {
-		s.dyn.Remove(s.slots[k])
-		delete(s.slotOf, id)
+	for _, slot := range s.slots[:len(evict)] {
+		s.dyn.Remove(slot)
 	}
 	s.ids = append(s.ids[:0], s.ids[len(evict):]...)
 	s.slots = append(s.slots[:0], s.slots[len(evict):]...)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -403,5 +404,72 @@ func TestStreamResultLabelOf(t *testing.T) {
 	}
 	if _, ok := res.LabelOf(999); ok {
 		t.Fatal("LabelOf(999) found a label")
+	}
+}
+
+// TestStreamingRemoveTable pins Remove's id handling: a repeated id is
+// removed once, an unknown id among known ones removes nothing, ids may come
+// in any order, and an empty call is a no-op. After every call the live ids,
+// the points they name, and a Run all match the points that should remain.
+func TestStreamingRemoveTable(t *testing.T) {
+	rows := blobs(300, 2, 61)
+	for _, tc := range []struct {
+		name    string
+		remove  []int64
+		wantErr bool
+	}{
+		{"repeated id", []int64{7, 7, 200, 7}, false},
+		{"unknown id among known ones", []int64{3, 4, 300, 5}, true},
+		{"out of order", []int64{250, 0, 299, 12, 11}, false},
+		{"empty call", nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := NewStreamingClusterer(2, 3.0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Insert(rows); err != nil {
+				t.Fatal(err)
+			}
+			err = s.Remove(tc.remove...)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("Remove(%v): err = %v, want error %v", tc.remove, err, tc.wantErr)
+			}
+			gone := make(map[int64]bool)
+			if !tc.wantErr {
+				for _, id := range tc.remove {
+					gone[id] = true
+				}
+			}
+			var wantIDs []int64
+			var wantRows [][]float64
+			for id, row := range rows {
+				if !gone[int64(id)] {
+					wantIDs = append(wantIDs, int64(id))
+					wantRows = append(wantRows, row)
+				}
+			}
+			if got := s.IDs(); !slices.Equal(got, wantIDs) {
+				t.Fatalf("IDs() = %d ids, want %d (%v removed)", len(got), len(wantIDs), tc.remove)
+			}
+			for id, row := range rows {
+				got, ok := s.Point(int64(id))
+				if ok == gone[int64(id)] || (ok && !slices.Equal(got, row)) {
+					t.Fatalf("Point(%d) = %v, %v; want %v, %v", id, got, ok, row, !gone[int64(id)])
+				}
+			}
+			cfg := Config{MinPts: 5}
+			got, err := s.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := Cluster(wantRows, Config{Eps: 3.0, MinPts: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := equalUpToPermutation(&got.Result, want); err != nil {
+				t.Fatalf("Run after Remove differs from from-scratch: %v", err)
+			}
+		})
 	}
 }
