@@ -200,7 +200,7 @@ func TestClustererEpsPinned(t *testing.T) {
 	}
 }
 
-// TestManyCellsOneCluster is the regression test for the coreLabels data
+// TestManyCellsOneCluster is the regression test for the label pass's data
 // race: a single cluster spanning far more than 512 cells makes the
 // root-marking loop actually run in parallel with every iteration writing
 // the same root slot (caught by -race before the stores were atomic).

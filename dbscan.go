@@ -181,11 +181,11 @@ type Config struct {
 	// shard per 64k points, capped at 4x the worker budget and at 1 when
 	// Bucketing is set (Bucketing batches a one-shard run's cell graph; a
 	// multi-shard run ignores it, so auto defers to the explicit scheduling
-	// request); StreamingClusterer.Run always resolves auto to 1, because a
-	// sharded run cannot reuse the incremental caches — set Shards
-	// explicitly to shard a streaming run, accepting a full recompute. The
-	// count is clamped to the occupied lattice (a shard cannot be thinner
-	// than one cell slab). Negative values are rejected.
+	// request). Streaming runs (StreamingClusterer.Run) take 0 or 1 and
+	// reject anything above, because a sharded run could not reuse the
+	// incremental caches. The count is clamped to the occupied lattice (a
+	// shard cannot be thinner than one cell slab). Negative values are
+	// rejected.
 	//
 	// The 2d-box-* methods are served by the grid cell layout when
 	// Shards > 1 (the box strips have no lattice to cut); the connectivity

@@ -91,7 +91,8 @@ type Request struct {
 	// Clusterer runs Config as a batch job (Clusterer.RunContext).
 	Clusterer *pdbscan.Clusterer
 	// Streaming runs Config as a streaming tick (StreamingClusterer.
-	// RunContext).
+	// RunContext). Submit applies the clusterer's ValidateConfig, so a
+	// Config the tick would reject never occupies a queue slot.
 	Streaming *pdbscan.StreamingClusterer
 	// Hierarchy runs Config.Eps as a dendrogram cut (Hierarchy.
 	// CutEpsContext) on a prebuilt hierarchy. Config.Eps must pass the
@@ -200,6 +201,11 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Job, error) {
 		return nil, ErrBadRequest
 	}
 	cfgCheck := req.Config
+	if req.Streaming != nil {
+		if err := req.Streaming.ValidateConfig(cfgCheck); err != nil {
+			return nil, err
+		}
+	}
 	if req.Hierarchy != nil {
 		if err := req.Hierarchy.ValidateEps(cfgCheck.Eps); err != nil {
 			return nil, err

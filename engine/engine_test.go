@@ -343,6 +343,7 @@ func TestEngineSubmitValidation(t *testing.T) {
 	defer e.Close()
 	c := mustClusterer(t, genPoints(500, 8), 2)
 	s, _ := pdbscan.NewStreamingClusterer(2, 2)
+	s3, _ := pdbscan.NewStreamingClusterer(3, 2)
 	h, err := c.BuildHierarchy(5)
 	if err != nil {
 		t.Fatalf("BuildHierarchy: %v", err)
@@ -362,6 +363,11 @@ func TestEngineSubmitValidation(t *testing.T) {
 		{"hierarchy eps beyond build", Request{Hierarchy: h, Config: pdbscan.Config{Eps: 2.5}}},
 		{"hierarchy mismatched minpts", Request{Hierarchy: h, Config: pdbscan.Config{Eps: 1, MinPts: 7}}},
 		{"hierarchy negative workers", Request{Hierarchy: h, Config: pdbscan.Config{Eps: 1, Workers: -1}}},
+		{"streaming sampler", Request{Streaming: s, Config: pdbscan.Config{MinPts: 5, Sampler: pdbscan.SamplerUniform, SampleFrac: 0.5}}},
+		{"streaming spill", Request{Streaming: s, Config: pdbscan.Config{MinPts: 5, Spill: true}}},
+		{"streaming shards", Request{Streaming: s, Config: pdbscan.Config{MinPts: 5, Shards: 4}}},
+		{"streaming eps mismatch", Request{Streaming: s, Config: pdbscan.Config{Eps: 3, MinPts: 5}}},
+		{"streaming 2D-only method on 3D", Request{Streaming: s3, Config: pdbscan.Config{MinPts: 5, Method: pdbscan.Method2DGridUSEC}}},
 	}
 	for _, tc := range cases {
 		if _, err := e.Submit(context.Background(), tc.req); err == nil {

@@ -161,13 +161,13 @@ func Write(path string, c *grid.Cells, part *grid.Partition) error {
 	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	return syncDir(filepath.Dir(path))
+	return SyncDir(filepath.Dir(path))
 }
 
-// syncDir makes a rename inside dir durable. Windows cannot sync a directory
+// SyncDir makes a rename inside dir durable. Windows cannot sync a directory
 // handle opened read-only (FlushFileBuffers fails with access denied), so
 // there the rename is left to the file system.
-func syncDir(dir string) error {
+func SyncDir(dir string) error {
 	if runtime.GOOS == "windows" {
 		return nil
 	}

@@ -57,9 +57,9 @@ type runScratch struct {
 // workerScratch is the pooled per-worker state of the parallel hot loops.
 type workerScratch struct {
 	gf, hf    []int32   // bcpConnected: box-filtered core point lists
-	found     []int32   // clusterBorder: distinct cluster labels of one point
-	sure      []int32   // clusterBorder: labels certain for a whole cell
-	cand      []int32   // clusterBorder: cells needing per-point scans
+	found     []int32   // borderCell: distinct cluster labels of one point
+	sure      []int32   // borderCell: labels certain for a whole cell
+	cand      []int32   // borderCell: cells needing per-point scans
 	nbrOrder  []int32   // markCellCore: prefiltered neighbor cells (sorted in place for box cells)
 	nbrDist   []float64 // markCellCore (box cells): the box distances of nbrOrder
 	nbrKey    []int32   // markCellCore (grid cells): the lattice keys of nbrOrder

@@ -2,47 +2,6 @@ package core
 
 import "sync"
 
-// clusterBorder implements Algorithm 4: every non-core point checks the core
-// points of its own cell and of all neighboring cells; it joins the cluster
-// of each core point within eps. Border points may belong to multiple
-// clusters; labels[p] receives the smallest, and the full sets (for points
-// with more than one) are returned as a map.
-//
-// Only cells with fewer than minPts points can contain non-core points, so
-// the loop mirrors the paper's `|g| < minPts` guard in exact runs. Under a
-// sample mask (DBSCAN++ mode) big cells hold unsampled non-core points too,
-// so every cell is a border candidate; to keep that affordable the candidate
-// cells are resolved once per cell, not once per point:
-//
-//   - a neighbor whose core bounding box is beyond eps of this cell's point
-//     bounding box is dropped for every point at once;
-//   - a neighbor whose core bounding box is within eps of every point of
-//     this cell (box-box maximum distance <= eps) contributes its label as
-//     "sure" — applied to all non-core points with no distance computations.
-//     The own cell is always sure when it has cores: both boxes lie inside
-//     one cell, whose diameter is at most eps by construction;
-//   - all cores of one cell share one cluster, so a neighbor whose label is
-//     already sure needs no per-point scan either.
-//
-// In the interior of a cluster every neighbor carries the same label as the
-// cell itself, so the whole cell resolves to one sure label and zero
-// distance work; only cells near cluster boundaries scan, and only against
-// the few candidates that survive the cell-level pass.
-func (st *pipeline) clusterBorder(labels []int32) map[int32][]int32 {
-	out := borderSet{m: make(map[int32][]int32)}
-	st.ex.BlockedFor(st.cells.NumCells(), 1, func(lo, hi int) {
-		ws := st.getWS()
-		for g := lo; g < hi; g++ {
-			if st.cancelled() {
-				break // partial labels; the run bails before returning them
-			}
-			st.borderCell(g, labels, ws, &out, 0)
-		}
-		st.putWS(ws)
-	})
-	return out.m
-}
-
 // borderSet collects the multi-cluster border points of one run. Their
 // membership lists are rare and escape into the Result, so they are freshly
 // allocated and merged under a mutex, once per cell that has any.
@@ -51,10 +10,23 @@ type borderSet struct {
 	m  map[int32][]int32
 }
 
-// borderCell is Algorithm 4 for the non-core points of cell g, the body
-// every path shares: labels[op] receives a point's smallest cluster, and a
-// point in two or more clusters lands in out keyed by op+keyOff (keyOff
-// translates a window's local flag indices to the run's).
+// borderCell is Algorithm 4 (ClusterBorder) for the non-core points of cell
+// g, the body every run's border step shares: each non-core point checks the
+// core points of its own cell and of all neighboring cells, and joins the
+// cluster of each core point within eps. labels[op] receives a point's
+// smallest cluster, and a point in two or more clusters lands in out keyed
+// by op+keyOff (keyOff translates a window's local flag indices to the
+// run's).
+//
+// Only cells with fewer than minPts points can contain non-core points, so
+// the early return mirrors the paper's `|g| < minPts` guard in exact runs.
+// Under a sample mask (DBSCAN++ mode) big cells hold unsampled non-core
+// points too, so every cell is a border candidate; to keep that affordable
+// the candidate cells are resolved once per cell, not once per point, by
+// borderCellCandidates. In the interior of a cluster every neighbor carries
+// the same label as the cell itself, so the whole cell resolves to one sure
+// label and zero distance work; only cells near cluster boundaries scan, and
+// only against the few candidates that survive the cell-level pass.
 func (st *pipeline) borderCell(g int, labels []int32, ws *workerScratch, out *borderSet, keyOff int32) {
 	c := st.cells
 	if st.p.Sample == nil && c.CellSize(g) >= st.p.MinPts {
@@ -103,10 +75,18 @@ func (st *pipeline) borderCell(g int, labels []int32, ws *workerScratch, out *bo
 
 // borderCellCandidates resolves, once per cell, which neighboring core cells
 // the non-core points of cell g must scan. It fills ws.sure with the
-// ascending set of labels certain for every point of g (core bounding box
-// within eps of the whole cell) and ws.cand with the cells that need
-// per-point distance checks. Cells whose label is already sure are dropped:
-// all cores of a cell share one cluster, so they cannot add anything.
+// ascending set of labels certain for every point of g and ws.cand with the
+// cells that need per-point distance checks:
+//
+//   - a neighbor whose core bounding box is beyond eps of g's point bounding
+//     box is dropped for every point at once;
+//   - a neighbor whose core bounding box is within eps of every point of g
+//     (box-box maximum distance <= eps) contributes its label as "sure" —
+//     applied to all non-core points with no distance computations. The own
+//     cell is always sure when it has cores: both boxes lie inside one cell,
+//     whose diameter is at most eps by construction;
+//   - all cores of one cell share one cluster, so a neighbor whose label is
+//     already sure needs no per-point scan either, and is dropped.
 func (st *pipeline) borderCellCandidates(g int32, labels []int32, ws *workerScratch) {
 	c := st.cells
 	d := c.Pts.D

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pdbscan/internal/grid"
@@ -186,10 +187,12 @@ func TestRunShardedCancelAtEveryPhaseBoundary(t *testing.T) {
 // TestRunIncrementalCancelPoisonsCache cancels an incremental tick at each
 // phase boundary and asserts the half-absorbed cache is marked not-reusable
 // (Fresh reports true), so the next tick recomputes from scratch and matches
-// a from-scratch run exactly.
+// a from-scratch run exactly. A completed tick announces exactly these
+// phases, in this order.
 func TestRunIncrementalCancelPoisonsCache(t *testing.T) {
 	pts := clusteredPoints(4000, 2, 100, 13)
-	for _, phase := range []string{"mark", "collect", "graph", "label", "border"} {
+	phases := []string{"mark", "collect", "graph", "label", "border", "done"}
+	for _, phase := range phases {
 		dyn := grid.NewDynamic(2, 2.0)
 		for i := 0; i < pts.N; i++ {
 			dyn.Insert(pts.At(i))
@@ -201,9 +204,15 @@ func TestRunIncrementalCancelPoisonsCache(t *testing.T) {
 		inc := NewIncremental()
 		arena := NewArena()
 		base := Params{MinPts: 10, Graph: GraphBCP, Arena: arena}
-		want, err := RunIncremental(cells, base, inc, dirty)
+		first := base
+		var seen []string
+		first.PhaseHook = func(name string) { seen = append(seen, name) }
+		want, err := RunIncremental(cells, first, inc, dirty)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !slices.Equal(seen, phases) {
+			t.Fatalf("announced phases %v, want %v", seen, phases)
 		}
 		if inc.Fresh() {
 			t.Fatal("cache still fresh after a completed run")

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pdbscan/internal/grid"
+	"pdbscan/internal/parallel"
 	"pdbscan/internal/prim"
 )
 
@@ -58,6 +60,9 @@ type Incremental struct {
 	// entry lists may be aliased between consecutive tables (the clean-cell
 	// fast path re-points them), so entries are never appended in place.
 	edgesSpare [][]edgeEntry
+
+	// part is the one-shard partition of the last run's cell slots.
+	part *grid.Partition
 }
 
 // NewIncremental returns an empty cache; the first RunIncremental on it
@@ -68,8 +73,8 @@ func NewIncremental() *Incremental {
 
 // Fresh reports whether the cache has absorbed no run yet — the next
 // RunIncremental on it recomputes everything regardless of the DirtyInfo.
-// Callers use it to report full rebuilds (e.g. after a sharded run dropped
-// the caches) honestly in their stats.
+// Callers use it to report full rebuilds (the first run, or one after a
+// failed run poisoned the cache) honestly in their stats.
 func (inc *Incremental) Fresh() bool { return !inc.valid }
 
 // edgeEntry records one evaluated cell-graph pair (h < g, stored under g).
@@ -81,11 +86,11 @@ type edgeEntry struct {
 // RunIncremental executes the pipeline over a Dynamic snapshot, recomputing
 // MarkCore and the cell-graph edges only for cells in dirty's affected set
 // (plus everything, when MinPts or the connectivity kind changed since the
-// cached state was built) and reusing inc's caches for the rest. Clean
-// cells' core lists are rebased from cached offsets, cluster connectivity is
-// rebuilt from the preserved + recomputed edge booleans with a fresh
-// union-find, and labels and borders are re-derived in full — all cheap
-// linear passes compared to the distance work the caches avoid.
+// cached state was built) and reusing inc's caches for the rest. It is the
+// executor's run over one in-RAM window that owns every cell slot, with a
+// graph step of its own ("mark", "collect", "graph"); labels and borders
+// come from the executor's passes, in full — cheap linear work compared to
+// the distance work the caches avoid.
 //
 // The result is exactly the clustering Run produces on the same cells, up to
 // cluster label permutation. The exact graph strategies (BCP, quadtree, USEC,
@@ -93,7 +98,8 @@ type edgeEntry struct {
 // evaluates exact edges with filtered BCP regardless of which exact strategy
 // p.Graph names; GraphApprox keeps its approximate quadtree semantics
 // (deterministic per cell pair, hence cacheable). Bucketing is a scheduling
-// heuristic for the pruned batch path and is ignored here.
+// heuristic for the pruned batch path and is ignored here. Freed point slots
+// (CellOf < 0) read label -1 and core false.
 func RunIncremental(cells *grid.Cells, p Params, inc *Incremental, dirty *grid.DirtyInfo) (*Result, error) {
 	if err := validateCells(cells, &p); err != nil {
 		return nil, err
@@ -116,6 +122,18 @@ func RunIncremental(cells *grid.Cells, p Params, inc *Incremental, dirty *grid.D
 	numCells := cells.NumCells()
 	n := cells.Pts.N
 
+	// The window owns every cell slot. Its one-shard partition depends on
+	// the slot count alone, so it is kept until that changes, and it is
+	// built on a context-free pool: a fill cut short by cancellation must
+	// not be kept.
+	if inc.part == nil || len(inc.part.ShardOf) != numCells {
+		part, err := grid.MakePartition(parallel.NewPool(p.Exec.Workers()), cells, 1)
+		if err != nil {
+			return nil, err
+		}
+		inc.part = part
+	}
+
 	// Core-dirty: the cell's own point set (or its eps-neighborhood) changed,
 	// or the cached core flags were computed for a different MinPts. The hot
 	// loops take (allDirty, affected) directly — a closure call per neighbor
@@ -123,98 +141,66 @@ func RunIncremental(cells *grid.Cells, p Params, inc *Incremental, dirty *grid.D
 	allDirty := dirty.Full || !inc.valid || p.MinPts != inc.minPts
 	affected := dirty.Affected
 
-	st := newPipeline(cells, p)
-	defer st.release()
-
-	// Cancellation boundary: a cancelled incremental run leaves inc's caches
-	// half-absorbed (flags, offsets, boxes and edges are updated in place),
-	// so the cache is poisoned before the error returns — the owner either
-	// drops it (StreamingClusterer replaces a failed run's cache) or the next
-	// run sees Fresh() and recomputes everything. Either way no stale entry
-	// survives.
-	boundary := func(name string) error {
-		err := st.phase(name)
-		if err != nil {
-			inc.valid = false
-		}
-		return err
-	}
-
-	// MarkCore, restricted to core-dirty cells over the cached flags.
-	if err := boundary("mark"); err != nil {
-		return nil, err
-	}
 	if len(inc.coreFlags) < n {
 		inc.coreFlags = append(inc.coreFlags, make([]bool, n-len(inc.coreFlags))...)
 	}
-	st.coreFlags = inc.coreFlags[:n]
-	if p.Mark == MarkQuadtree {
-		st.rs.allTrees = lazyTreeBuf(st.rs.allTrees, numCells)
-		st.allTrees = st.rs.allTrees
-	}
-	st.ex.For(n, func(i int) {
-		if cells.CellOf[i] < 0 {
-			st.coreFlags[i] = false // freed point slot
+	src := &ramSource{cells: cells, part: inc.part}
+	defer src.release()
+	r := newShardRun(src, numCells, p, inc.coreFlags[:n])
+	res, err := r.run(func(w *shardWindow) error {
+		st := w.st
+		// MarkCore, restricted to core-dirty cells over the cached flags.
+		if err := r.phase("mark"); err != nil {
+			return err
 		}
-	})
-	st.ex.BlockedFor(numCells, 1, func(lo, hi int) {
-		ws := st.getWS()
-		for g := lo; g < hi; g++ {
-			if st.cancelled() {
-				break
+		st.ex.For(n, func(i int) {
+			if cells.CellOf[i] < 0 {
+				st.coreFlags[i] = false // freed point slot
 			}
-			if (allDirty || affected[g]) && cells.CellSize(g) > 0 {
-				st.markCellCore(g, ws)
+		})
+		w.each(w.ownedCells, func(g int32, ws *workerScratch) {
+			if (allDirty || affected[g]) && cells.CellSize(int(g)) > 0 {
+				st.markCellCore(int(g), ws)
 			}
+		})
+		if err := r.phase("collect"); err != nil {
+			return err
 		}
-		st.putWS(ws)
+		st.collectCoreIncremental(inc, !allDirty && inc.listsValid, affected, r.hasCore)
+		if err := r.phase("graph"); err != nil {
+			return err
+		}
+		st.clusterCoreIncremental(inc, kind, allDirty, affected)
+		return r.phase("")
 	})
-
-	if err := boundary("collect"); err != nil {
-		return nil, err
-	}
-	st.collectCoreIncremental(inc, !allDirty && inc.listsValid, affected)
-	if err := boundary("graph"); err != nil {
-		return nil, err
-	}
-	st.clusterCoreIncremental(inc, kind, allDirty, affected)
-	if err := boundary("label"); err != nil {
-		return nil, err
-	}
-	labels, numClusters := st.coreLabels()
-	if err := boundary("border"); err != nil {
-		return nil, err
-	}
-	border := st.clusterBorder(labels)
-	if err := boundary("done"); err != nil {
+	if err != nil {
+		// A failed run leaves inc's caches half-absorbed (flags, offsets,
+		// boxes and edges are updated in place), so the cache is poisoned:
+		// the owner either drops it (StreamingClusterer replaces a failed
+		// run's cache) or the next run sees Fresh() and recomputes
+		// everything. Either way no stale entry survives.
+		inc.valid = false
 		return nil, err
 	}
 	inc.valid = true
 	inc.listsValid = true
 	inc.minPts = p.MinPts
-
 	// The result's flags must not alias the cache (the cache mutates on the
 	// next run).
-	coreOut := make([]bool, n)
-	copy(coreOut, st.coreFlags)
-	return &Result{
-		Core:        coreOut,
-		Labels:      labels,
-		Border:      border,
-		NumClusters: numClusters,
-	}, nil
+	res.Core = slices.Clone(res.Core)
+	return res, nil
 }
 
 // collectCoreIncremental is collectCore over the cached offsets and boxes:
 // with reuse, a clean cell rebases its cached offsets onto this snapshot's
 // rows (a cell of at least MinPts points aliases its whole row range) and
 // keeps its cached box; every other cell re-derives list and box from the
-// flags and refreshes the cache.
-func (st *pipeline) collectCoreIncremental(inc *Incremental, reuse bool, affected []bool) {
+// flags and refreshes the cache. hasCore[g] is set for every cell left with
+// a core point.
+func (st *pipeline) collectCoreIncremental(inc *Incremental, reuse bool, affected, hasCore []bool) {
 	c := st.cells
 	numCells := c.NumCells()
 	nb := numCells * c.Pts.D
-	st.initCoreState()
 	for len(inc.coreOff) < numCells {
 		inc.coreOff = append(inc.coreOff, nil)
 	}
@@ -226,44 +212,40 @@ func (st *pipeline) collectCoreIncremental(inc *Incremental, reuse bool, affecte
 	st.ex.ForGrain(numCells, 1, func(g int) {
 		base := c.CellStart[g]
 		small := c.CellSize(g) < st.p.MinPts
-		if reuse && !affected[g] {
-			if !small {
-				st.corePts[g] = c.RowsOf(g)
-				return
-			}
+		switch {
+		case reuse && !affected[g] && !small:
+			st.corePts[g] = c.RowsOf(g)
+		case reuse && !affected[g]:
 			off := inc.coreOff[g]
 			core := st.coreStore[base : base : base+int32(len(off))]
 			for _, o := range off {
 				core = append(core, base+o)
 			}
 			st.corePts[g] = core
-			return
-		}
-		st.collectCellCore(g)
-		if small {
-			off := inc.coreOff[g][:0]
-			for _, r := range st.corePts[g] {
-				off = append(off, r-base)
+		default:
+			st.collectCellCore(g)
+			if small {
+				off := inc.coreOff[g][:0]
+				for _, r := range st.corePts[g] {
+					off = append(off, r-base)
+				}
+				inc.coreOff[g] = off
 			}
-			inc.coreOff[g] = off
 		}
+		hasCore[g] = len(st.corePts[g]) > 0
 	})
-	st.coreCells = prim.FilterIndex(st.ex, numCells, func(g int) bool {
-		return len(st.corePts[g]) > 0
-	})
+	st.coreCells = prim.FilterIndex(st.ex, numCells, func(g int) bool { return hasCore[g] })
 }
 
-// clusterCoreIncremental builds the cell graph like clusterCore, but
-// evaluates the connectivity boolean of every neighboring core-cell pair —
-// reusing the cached boolean when both endpoints are outside the core-dirty
-// set — and unions all true edges into a fresh union-find. Evaluating every
-// pair (instead of pruning already-connected ones) is what keeps inc.edges a
-// complete function of the point set, so cleanness of the two endpoint cells
-// alone certifies a cached value.
+// clusterCoreIncremental builds the cell graph like the batch graph step,
+// but evaluates the connectivity boolean of every neighboring core-cell
+// pair — reusing the cached boolean when both endpoints are outside the
+// core-dirty set — and unions all true edges into the run's union-find.
+// Evaluating every pair (instead of pruning already-connected ones) is what
+// keeps inc.edges a complete function of the point set, so cleanness of the
+// two endpoint cells alone certifies a cached value.
 func (st *pipeline) clusterCoreIncremental(inc *Incremental, kind GraphStrategy, allDirty bool, affected []bool) {
 	numCells := st.cells.NumCells()
-	st.initUF(numCells)
-
 	connect := st.connectFn() // p.Graph is normalized to kind
 
 	// A cached edge boolean is reusable only if it was computed by the same

@@ -251,12 +251,6 @@ func (st *pipeline) getWS() *workerScratch { return st.arena.getWorker() }
 // putWS returns a block's workerScratch.
 func (st *pipeline) putWS(ws *workerScratch) { st.arena.putWorker(ws) }
 
-// initUF readies the union-find over numCells cells from the run scratch.
-func (st *pipeline) initUF(numCells int) {
-	st.rs.uf.Reset(numCells)
-	st.uf = &st.rs.uf
-}
-
 // cancelled reports whether the run's executor context is done (the
 // per-cell cooperative check of the phase loops; an atomic load on the fast
 // path).
@@ -388,26 +382,6 @@ func (st *pipeline) collectCellCore(g int) {
 			}
 		}
 	}
-}
-
-// coreLabels assigns dense cluster labels to core points from the union-find
-// state over cells and returns (labels, numClusters); non-core points get -1.
-func (st *pipeline) coreLabels() ([]int32, int) {
-	c := st.cells
-	// Mark and densify the union-find roots of the core cells (a cell is
-	// core iff it kept at least one core point).
-	roots, dense := unionfind.DenseRoots(st.ex, st.uf, func(g int32) bool {
-		return len(st.corePts[g]) > 0
-	})
-	labels := make([]int32, c.Pts.N)
-	st.ex.For(c.Pts.N, func(i int) {
-		if st.coreFlags[i] {
-			labels[i] = dense[st.uf.Find(c.CellOf[i])]
-		} else {
-			labels[i] = -1
-		}
-	})
-	return labels, len(roots)
 }
 
 // quadtreeRoot returns a cube enclosing cell g's points, suitable as a

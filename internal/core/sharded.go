@@ -83,8 +83,8 @@ type shardWindow struct {
 	close     func() // nil: the window stays open for the next sweep
 }
 
-// shardRun is the state of one sharded execution, keyed globally: core flags
-// and labels in flag order, and the union-find over global cell ids.
+// shardRun is the state of one run of the executor, keyed globally: core
+// flags and labels in flag order, and the union-find over global cell ids.
 type shardRun struct {
 	phaseClock
 	p         Params
@@ -96,36 +96,52 @@ type shardRun struct {
 	border    borderSet
 }
 
-// runShards is the one batch executor, behind Run, RunSharded and
-// RunOutOfCore. It sweeps the source's windows twice. The graph sweep runs,
-// per window, the steps "mark" (MarkCore and core collection for the owned
+// runShards is the batch executor, behind Run, RunSharded and RunOutOfCore:
+// run with the batch graph step, graphSteps. Its graph sweep runs, per
+// window, the steps "mark" (MarkCore and core collection for the owned
 // cells), "graph" (the intra-shard cell graph) and "merge" (every pair
 // between an owned cell and a cell of an earlier shard — each cross-shard
-// pair once, in the step of its later shard). Labels are then assigned once
-// over the global cells ("label"), and the border sweep attaches every
-// window's owned non-core points ("border").
+// pair once, in the step of its later shard).
 func runShards(src shardSource, d, n, numCells int, p Params) (*Result, error) {
 	if err := validateParams(d, n, &p); err != nil {
 		return nil, err
 	}
+	r := newShardRun(src, numCells, p, make([]bool, n)) // flags escape into Result.Core
+	return r.run(r.graphSteps)
+}
+
+// newShardRun readies a run over the source's numCells global cells whose
+// core flags, in flag order, are coreFlags.
+func newShardRun(src shardSource, numCells int, p Params, coreFlags []bool) *shardRun {
 	r := &shardRun{
 		p:         p,
 		src:       src,
 		uf:        unionfind.New(numCells),
-		coreFlags: make([]bool, n), // escapes into Result.Core
+		coreFlags: coreFlags,
 		hasCore:   make([]bool, numCells),
 		border:    borderSet{m: make(map[int32][]int32)},
 	}
 	r.phaseClock.p = &r.p
-	if err := r.sweep(false, r.graphSteps); err != nil {
+	return r
+}
+
+// run is the one step sequence of every clustering run. The graph sweep
+// runs graph on each window; graph must leave the run's core flags final,
+// hasCore set for every global cell holding a core point, and every core
+// cell edge unioned into the run's union-find. Labels are then assigned once
+// over the global cells ("label"), and the border sweep attaches every
+// window's owned non-core points ("border").
+func (r *shardRun) run(graph func(*shardWindow) error) (*Result, error) {
+	if err := r.sweep(false, graph); err != nil {
 		return nil, err
 	}
 	if err := r.phase("label"); err != nil {
 		return nil, err
 	}
-	roots, dense := unionfind.DenseRoots(p.Exec, r.uf, func(g int32) bool { return r.hasCore[g] })
-	r.labels = make([]int32, n)
-	src.label(p.Exec, r.coreFlags, r.labels, func(gc int32) int32 {
+	ex := r.p.Exec
+	roots, dense := unionfind.DenseRoots(ex, r.uf, func(g int32) bool { return r.hasCore[g] })
+	r.labels = make([]int32, len(r.coreFlags))
+	r.src.label(ex, r.coreFlags, r.labels, func(gc int32) int32 {
 		if !r.hasCore[gc] {
 			return -1
 		}
@@ -354,15 +370,14 @@ func (s *ramSource) open(r *shardRun, _ int, _ bool) (*shardWindow, error) {
 	return s.win, nil
 }
 
+// label walks the points in flag order. A point in no cell (a Dynamic
+// snapshot's freed slot) is never core, so it reads -1 with the rest.
 func (s *ramSource) label(ex *parallel.Pool, coreFlags []bool, labels []int32, cellLabel func(gc int32) int32) {
-	ex.ForGrain(s.cells.NumCells(), 8, func(g int) {
-		lbl := cellLabel(int32(g))
-		for _, i := range s.cells.PointsOf(g) {
-			if coreFlags[i] {
-				labels[i] = lbl
-			} else {
-				labels[i] = -1
-			}
+	ex.For(len(labels), func(i int) {
+		if coreFlags[i] {
+			labels[i] = cellLabel(s.cells.CellOf[i])
+		} else {
+			labels[i] = -1
 		}
 	})
 }

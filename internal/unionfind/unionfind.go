@@ -86,9 +86,9 @@ func (u *UF) Union(x, y int32) int32 {
 // include(i) is true, and returns them ascending together with a dense
 // relabeling: dense[r] = index of root r in roots (meaningful only for
 // returned roots). This is the label-densification step shared by every
-// clustering finisher (coreLabels, the baselines). Many elements share a
-// root, so the marking pass uses atomic same-value stores to stay race-free;
-// callers must not run concurrent Unions during the call.
+// clustering finisher (the core executor's label pass, the baselines). Many
+// elements share a root, so the marking pass uses atomic same-value stores to
+// stay race-free; callers must not run concurrent Unions during the call.
 func DenseRoots(ex *parallel.Pool, uf *UF, include func(i int32) bool) (roots []int32, dense []int32) {
 	n := uf.Len()
 	isRoot := make([]int32, n)

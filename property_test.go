@@ -164,7 +164,7 @@ func TestPropertyShardedDifferential(t *testing.T) {
 			return false
 		}
 		// Streaming third path: half the points, then the rest, then run —
-		// its sharded tick must also agree.
+		// its incremental tick must also agree.
 		s, err := NewStreamingClusterer(d, eps)
 		if err != nil {
 			t.Logf("streaming: %v", err)
@@ -182,15 +182,15 @@ func TestPropertyShardedDifferential(t *testing.T) {
 			t.Logf("streaming insert: %v", err)
 			return false
 		}
-		stream, err := s.Run(Config{MinPts: minPts, Method: m, Shards: shards})
+		stream, err := s.Run(Config{MinPts: minPts, Method: m})
 		if err != nil {
-			t.Logf("streaming sharded run: %v", err)
+			t.Logf("streaming run: %v", err)
 			return false
 		}
 		// StreamResult rows are in insertion order == rows order here.
 		if err := equivalentResults(&stream.Result, mono); err != nil {
-			t.Logf("%s d=%d n=%d eps=%v minPts=%d shards=%d: streaming-sharded vs monolithic: %v",
-				m, d, n, eps, minPts, shards, err)
+			t.Logf("%s d=%d n=%d eps=%v minPts=%d: streaming vs monolithic: %v",
+				m, d, n, eps, minPts, err)
 			return false
 		}
 		// Exact methods additionally face the oracle.

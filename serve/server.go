@@ -276,7 +276,8 @@ type ConfigJSON struct {
 	Shards    int     `json:"shards,omitempty"`
 
 	// Sampled-core approximate mode (DBSCAN++): see pdbscan.Config.Sampler.
-	// Batch sessions only; streaming and hierarchy runs reject samplers.
+	// Batch sessions only: streaming runs reject a sampler, and hierarchy
+	// runs ignore it (see engine.Request).
 	Sampler    string  `json:"sampler,omitempty"`
 	SampleFrac float64 `json:"sample_frac,omitempty"`
 	SampleSeed int64   `json:"sample_seed,omitempty"`
@@ -445,9 +446,27 @@ func bodyStatus(err error) int {
 
 // ----------------------------------------------------------------- sessions
 
+// refuseCreateLocked reports why a session create must be refused now, if
+// it must: 503 while draining, 429 at the session limit. The caller holds
+// s.mu.
+func (s *Server) refuseCreateLocked() (int, error) {
+	if s.draining {
+		return http.StatusServiceUnavailable, errors.New("server draining")
+	}
+	if len(s.sessions) >= s.maxSess {
+		return http.StatusTooManyRequests, fmt.Errorf("session limit reached (%d); delete one or retry later", s.maxSess)
+	}
+	return 0, nil
+}
+
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
-	if s.isDraining() {
-		s.writeError(w, http.StatusServiceUnavailable, errors.New("server draining"))
+	// Refuse before reading the body: a create against a draining or full
+	// server must not pay for the parse and the build.
+	s.mu.Lock()
+	status, err := s.refuseCreateLocked()
+	s.mu.Unlock()
+	if err != nil {
+		s.writeError(w, status, err)
 		return
 	}
 	var req CreateSessionRequest
@@ -509,16 +528,12 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Again under the lock that inserts: concurrent creates race past the
+	// first check.
 	s.mu.Lock()
-	if s.draining {
+	if status, err := s.refuseCreateLocked(); err != nil {
 		s.mu.Unlock()
-		s.writeError(w, http.StatusServiceUnavailable, errors.New("server draining"))
-		return
-	}
-	if len(s.sessions) >= s.maxSess {
-		s.mu.Unlock()
-		s.writeError(w, http.StatusTooManyRequests,
-			fmt.Errorf("session limit reached (%d); delete one or retry later", s.maxSess))
+		s.writeError(w, status, err)
 		return
 	}
 	s.nextSess++

@@ -295,6 +295,8 @@ func TestStatusCodeMapping(t *testing.T) {
 	defer done()
 
 	small := tc.createSession(CreateSessionRequest{Kind: "batch", Eps: 3, Points: genPoints(500, 8)})
+	stream2 := tc.createSession(CreateSessionRequest{Kind: "streaming", Eps: 3, Dims: 2})
+	stream3 := tc.createSession(CreateSessionRequest{Kind: "streaming", Eps: 3, Dims: 3})
 
 	// Pure validation, no scheduling involved.
 	for _, bad := range []struct {
@@ -312,6 +314,9 @@ func TestStatusCodeMapping(t *testing.T) {
 		{"unknown method", "POST", "/v1/sessions/" + small.ID + "/runs", SubmitRunRequest{Config: ConfigJSON{MinPts: 5, Method: "magic"}, Wait: true}},
 		{"negative shards", "POST", "/v1/sessions/" + small.ID + "/runs", SubmitRunRequest{Config: ConfigJSON{MinPts: 5, Shards: -1}, Wait: true}},
 		{"eps mismatch", "POST", "/v1/sessions/" + small.ID + "/runs", SubmitRunRequest{Config: ConfigJSON{Eps: 7, MinPts: 5}, Wait: true}},
+		{"streaming sampler", "POST", "/v1/sessions/" + stream2.ID + "/runs", SubmitRunRequest{Config: ConfigJSON{MinPts: 5, Sampler: "uniform", SampleFrac: 0.5}, Wait: true}},
+		{"streaming shards", "POST", "/v1/sessions/" + stream2.ID + "/runs", SubmitRunRequest{Config: ConfigJSON{MinPts: 5, Shards: 4}, Wait: true}},
+		{"2D-only method on 3D streaming", "POST", "/v1/sessions/" + stream3.ID + "/runs", SubmitRunRequest{Config: ConfigJSON{MinPts: 5, Method: "2d-grid-usec"}, Wait: true}},
 	} {
 		if resp := tc.do(bad.method, bad.path, bad.body, nil); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", bad.name, resp.StatusCode)
@@ -358,6 +363,23 @@ func TestStatusCodeMapping(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("deadline run: status %d, want 504", resp.StatusCode)
 	}
+}
+
+// TestMaxSessions pins the session limit: at the limit a create reads 429
+// with Retry-After before the server reads its body (so a malformed body
+// reads 429, not 400), and deleting a live session frees its slot.
+func TestMaxSessions(t *testing.T) {
+	_, tc, done := newTestServer(t, Options{MaxSessions: 1, RetryAfter: 2 * time.Second})
+	defer done()
+	live := tc.createSession(CreateSessionRequest{Kind: "streaming", Eps: 3, Dims: 2})
+	create := CreateSessionRequest{Kind: "batch", Eps: 3, Points: genPoints(100, 3)}
+	resp := tc.expect("POST", "/v1/sessions", create, http.StatusTooManyRequests, nil)
+	if ra := resp.Header.Get("Retry-After"); ra != "2" {
+		t.Fatalf("429 Retry-After = %q, want \"2\"", ra)
+	}
+	tc.expect("POST", "/v1/sessions", []byte(`{"kind":`), http.StatusTooManyRequests, nil)
+	tc.expect("DELETE", "/v1/sessions/"+live.ID, nil, http.StatusNoContent, nil)
+	tc.createSession(create)
 }
 
 // TestShutdownDrain pins the drain ordering: after Drain, in-flight jobs

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"pdbscan"
+	"pdbscan/internal/cellstore"
 )
 
 // SetSnapshotDir points the server at a directory for streaming-session
@@ -23,8 +24,9 @@ func (s *Server) SetSnapshotDir(dir string) {
 }
 
 // SaveSnapshots writes every streaming session's warm state to the snapshot
-// directory, one checksummed <id>.snap file each (temp file + rename, so a
-// crash mid-save never leaves a partial snapshot under the final name).
+// directory, one checksummed <id>.snap file each (temp file, fsync, rename,
+// directory fsync, so neither a crash mid-save nor a power loss after it
+// leaves a partial snapshot under the final name).
 // Batch and hierarchy sessions are skipped — their state is their immutable
 // input, which the client can re-POST. Call it after Drain + Shutdown, when
 // no mutations are in flight; it returns the number of sessions saved and
@@ -71,10 +73,19 @@ func saveOne(dir string, sess *session) error {
 		f.Close()
 		return fmt.Errorf("session %s: %w", sess.id, err)
 	}
+	// The data must reach the disk before the rename does, and the rename
+	// before the save is reported.
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp, final)
+	if err := os.Rename(tmp, final); err != nil {
+		return err
+	}
+	return cellstore.SyncDir(dir)
 }
 
 // RestoreSnapshots loads every *.snap file in the snapshot directory as a

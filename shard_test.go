@@ -2,6 +2,7 @@ package pdbscan
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"pdbscan/internal/parallel"
@@ -161,10 +162,10 @@ func TestShardedBucketingInteraction(t *testing.T) {
 	}
 }
 
-// TestShardedStreamingRun checks the streaming surface: an explicitly
-// sharded Run matches the incremental result on the same window, and the
-// incremental path keeps working (correctly, from a Full rebuild) after a
-// sharded run dropped the caches.
+// TestShardedStreamingRun checks that a streaming Run rejects Shards > 1
+// before it takes the snapshot: the rejected run consumes neither the caches
+// nor the pending mutations, so the next run absorbs them incrementally (not
+// Full) and matches a from-scratch Cluster, and Shards 1 stays incremental.
 func TestShardedStreamingRun(t *testing.T) {
 	rows := blobs(1200, 2, 17)
 	s, err := NewStreamingClusterer(2, 2.5)
@@ -175,71 +176,60 @@ func TestShardedStreamingRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{MinPts: 6}
-	inc1, err := s.Run(cfg)
-	if err != nil {
+	if _, err := s.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Insert(rows[800:]); err != nil {
 		t.Fatal(err)
 	}
 	shCfg := cfg
 	shCfg.Shards = 4
-	sh, err := s.Run(shCfg)
+	if _, err := s.Run(shCfg); err == nil || !strings.Contains(err.Error(), "Shards") {
+		t.Fatalf("streaming Run with Shards 4: err = %v, want a Shards rejection", err)
+	}
+	inc, err := s.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := labelsEqual(&sh.Result, &inc1.Result); err != nil {
-		t.Fatalf("sharded streaming run differs from incremental: %v", err)
-	}
-	if st := s.LastRunStats(); !st.Full || st.DirtyCells != st.NumCells {
-		t.Fatalf("sharded run stats = %+v, want Full with every cell dirty", st)
-	}
-	// Mutate, then run incrementally again: the dropped caches must force a
-	// Full rebuild that still matches a from-scratch Cluster.
-	if _, err := s.Insert(rows[800:]); err != nil {
-		t.Fatal(err)
-	}
-	inc2, err := s.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := s.LastRunStats(); !st.Full {
-		t.Fatalf("run after a sharded run reused dropped caches: %+v", st)
+	if st := s.LastRunStats(); st.Full || st.DirtyCells == 0 {
+		t.Fatalf("run after a rejected sharded run = %+v, want an incremental run over the pending inserts", st)
 	}
 	want, err := Cluster(rows, Config{Eps: 2.5, MinPts: 6, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := equivalentResults(&inc2.Result, want); err != nil {
-		t.Fatalf("incremental run after sharded run: %v", err)
+	if err := equivalentResults(&inc.Result, want); err != nil {
+		t.Fatalf("incremental run after a rejected sharded run: %v", err)
 	}
-	// Auto (Shards = 0) must stay incremental: no mutations, so the next
-	// run reuses everything.
-	if _, err := s.Run(cfg); err != nil {
+	// Shards = 1 is the incremental path too: no mutations, so the run
+	// reuses everything.
+	one := cfg
+	one.Shards = 1
+	if _, err := s.Run(one); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.LastRunStats(); st.Full || st.DirtyCells != 0 {
-		t.Fatalf("auto streaming run was not incremental: %+v", st)
+		t.Fatalf("Shards = 1 streaming run was not incremental: %+v", st)
 	}
 }
 
-// TestShardedEmptyStream: a sharded Run on an empty stream returns an empty
-// result rather than erroring (parity with the incremental path).
+// TestShardedEmptyStream: Shards > 1 is rejected on an empty stream too (the
+// check reads only the Config), while Shards = 1 on an empty stream returns
+// an empty result.
 func TestShardedEmptyStream(t *testing.T) {
 	s, err := NewStreamingClusterer(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(Config{MinPts: 2, Shards: 3})
+	if _, err := s.Run(Config{MinPts: 2, Shards: 3}); err == nil {
+		t.Fatal("empty stream accepted Shards 3")
+	}
+	res, err := s.Run(Config{MinPts: 2, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.NumClusters != 0 || len(res.Labels) != 0 {
-		t.Fatalf("empty sharded stream: %d clusters, %d labels", res.NumClusters, len(res.Labels))
-	}
-	// And after points exist, sharded runs still work on the same instance.
-	if _, err := s.Insert(blobs(300, 2, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Run(Config{MinPts: 2, Shards: 3}); err != nil {
-		t.Fatal(err)
+		t.Fatalf("empty stream: %d clusters, %d labels", res.NumClusters, len(res.Labels))
 	}
 }
 
@@ -258,7 +248,8 @@ func TestShardedMoreShardsThanCells(t *testing.T) {
 	if err := labelsEqual(sh, mono); err != nil {
 		t.Fatal(err)
 	}
-	// Streaming takes the same monolithic fallback on an uncuttable lattice.
+	// Streaming rejects the shard count however few cells there are, and
+	// its one-shard run agrees.
 	s, err := NewStreamingClusterer(2, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +257,10 @@ func TestShardedMoreShardsThanCells(t *testing.T) {
 	if _, err := s.Insert(rows); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run(Config{MinPts: 2, Shards: 64})
+	if _, err := s.Run(Config{MinPts: 2, Shards: 64}); err == nil {
+		t.Fatal("streaming Run accepted Shards 64")
+	}
+	res, err := s.Run(Config{MinPts: 2, Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,11 +41,9 @@ import (
 // Config.Bucketing is ignored (it batches the pruned graph loop of a
 // one-shard batch run, which the incremental edge evaluation replaces).
 //
-// Config.Shards > 1 routes a Run through the sharded partition/merge path
-// instead of the incremental one: the full window is re-clustered (same
-// results, as everywhere) and the incremental caches are dropped, so the
-// next incremental Run starts from scratch. Shards = 0 (auto) always stays
-// incremental — per-tick reuse is this type's reason to exist.
+// A Run takes one shard: Config.Shards must be 0 (auto) or 1, and a larger
+// count is rejected, as Sampler and Spill are. A sharded run could not reuse
+// the incremental caches, and per-tick reuse is this type's reason to exist.
 type StreamingClusterer struct {
 	mu    sync.Mutex
 	dims  int
@@ -71,9 +69,8 @@ type StreamStats struct {
 	// incident cell-graph edges were recomputed. 0 for a mutation-free,
 	// config-stable rerun; equal to NumCells on a Full run.
 	DirtyCells int
-	// Full marks a run that reused nothing: the first, one right after a
-	// sharded or failed run dropped the caches, or any run through the
-	// sharded path itself.
+	// Full marks a run that reused nothing: the first, or one right after a
+	// failed run dropped the caches.
 	Full bool
 }
 
@@ -254,6 +251,45 @@ func (s *StreamingClusterer) Window(n int) []int64 {
 	return evict
 }
 
+// ValidateConfig reports the error RunContext would reject cfg with before
+// it touches the point set: the checks of Config.Validate, an Eps other
+// than 0 or Eps(), the batch-only settings (a Sampler, Spill, Shards above
+// 1), and a method the stream's dimensionality rules out. A service calls
+// it to answer a bad request before queueing the run (engine.Submit does,
+// for streaming jobs).
+func (s *StreamingClusterer) ValidateConfig(cfg Config) error {
+	if cfg.Eps != 0 && cfg.Eps != s.eps {
+		return fmt.Errorf("pdbscan: StreamingClusterer built for Eps=%v cannot run with Eps=%v (create a new one)", s.eps, cfg.Eps)
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if cfg.Sampler != SamplerNone {
+		// The incremental caches pin exact per-cell core state; a sampled
+		// tick would invalidate them wholesale. Batch-only by design.
+		return fmt.Errorf("pdbscan: the sampled-core mode is batch-only; StreamingClusterer does not accept Sampler %q", cfg.Sampler)
+	}
+	if cfg.Spill {
+		// Out-of-core runs stream an immutable on-disk store; the dynamic
+		// grid lives in RAM. Use Snapshot/RestoreStreaming to persist
+		// streaming state instead.
+		return fmt.Errorf("pdbscan: out-of-core runs are batch-only; StreamingClusterer does not accept Spill")
+	}
+	if cfg.Shards > 1 {
+		// A sharded run would recompute the whole window and drop the
+		// incremental caches; per-tick reuse is this type's reason to exist.
+		return fmt.Errorf("pdbscan: streaming runs take one shard; StreamingClusterer does not accept Shards %d (0 or 1)", cfg.Shards)
+	}
+	params := core.Params{Rho: cfg.Rho}
+	if _, err := resolveMethod(s.dims, &cfg, &params); err != nil {
+		return err
+	}
+	if params.Graph == core.GraphApprox && params.Rho <= 0 {
+		return fmt.Errorf("pdbscan: approximate methods require Rho > 0, got %v", params.Rho)
+	}
+	return nil
+}
+
 // Run re-clusters the current point set, touching only state invalidated by
 // the mutations since the previous Run (and by Config changes: a different
 // MinPts re-marks every cell; a different connectivity kind or Rho re-derives
@@ -288,22 +324,11 @@ func (s *StreamingClusterer) RunContext(ctx context.Context, cfg Config) (res *S
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if cfg.Eps != 0 && cfg.Eps != s.eps {
-		return nil, fmt.Errorf("pdbscan: StreamingClusterer built for Eps=%v cannot run with Eps=%v (create a new one)", s.eps, cfg.Eps)
-	}
-	if err := cfg.Validate(); err != nil {
+	// Reject everything rejectable BEFORE taking the snapshot: a snapshot
+	// consumes the dirty set, so a config error surfacing after it would
+	// leave the caches out of sync with the structure.
+	if err := s.ValidateConfig(cfg); err != nil {
 		return nil, err
-	}
-	if cfg.Sampler != SamplerNone {
-		// The incremental caches pin exact per-cell core state; a sampled
-		// tick would invalidate them wholesale. Batch-only by design.
-		return nil, fmt.Errorf("pdbscan: the sampled-core mode is batch-only; StreamingClusterer does not accept Sampler %q", cfg.Sampler)
-	}
-	if cfg.Spill {
-		// Out-of-core runs stream an immutable on-disk store; the dynamic
-		// grid lives in RAM. Use Snapshot/RestoreStreaming to persist
-		// streaming state instead.
-		return nil, fmt.Errorf("pdbscan: out-of-core runs are batch-only; StreamingClusterer does not accept Spill")
 	}
 	params := core.Params{
 		MinPts: cfg.MinPts,
@@ -311,12 +336,6 @@ func (s *StreamingClusterer) RunContext(ctx context.Context, cfg Config) (res *S
 	}
 	if _, err := resolveMethod(s.dims, &cfg, &params); err != nil {
 		return nil, err
-	}
-	// Reject everything rejectable BEFORE taking the snapshot: a snapshot
-	// consumes the dirty set, so a config error surfacing after it would
-	// leave the caches out of sync with the structure.
-	if params.Graph == core.GraphApprox && params.Rho <= 0 {
-		return nil, fmt.Errorf("pdbscan: approximate methods require Rho > 0, got %v", params.Rho)
 	}
 
 	s.mu.Lock()
@@ -331,8 +350,7 @@ func (s *StreamingClusterer) RunContext(ctx context.Context, cfg Config) (res *S
 			res, err = nil, runPanicError(ctx, r)
 		}
 	}()
-	ex := parallel.NewPoolContext(ctx, cfg.Workers)
-	params.Exec = ex
+	params.Exec = parallel.NewPoolContext(ctx, cfg.Workers)
 	params.Arena = s.arena
 	// The snapshot runs on a context-free pool with the same budget: its
 	// mutations to the dynamic structure must complete once started (see the
@@ -341,48 +359,21 @@ func (s *StreamingClusterer) RunContext(ctx context.Context, cfg Config) (res *S
 	if err != nil {
 		return nil, err
 	}
-	var cres *core.Result
-	// A fresh cache (first run, or one dropped by a sharded or failed run)
-	// makes the run full no matter what the snapshot's dirty info says.
-	dirtyCells, full := dirty.NumAffected, dirty.Full || s.inc.Fresh()
-	if full {
-		dirtyCells = -1 // patched to the live cell count below
-	}
-	if cfg.Shards > 1 {
-		// An explicitly sharded run recomputes everything through the
-		// partition/merge path and bypasses the incremental caches. The
-		// snapshot's dirty info is consumed here without reaching them, so
-		// they are dropped either way — the next incremental Run rebuilds
-		// from clean state. (Shards = 0 deliberately stays incremental; see
-		// Config.Shards.)
+	// A fresh cache (first run, or one dropped by a failed run) makes the
+	// run full no matter what the snapshot's dirty info says.
+	full := dirty.Full || s.inc.Fresh()
+	// Run the incremental pipeline even when the stream is empty: every
+	// snapshot's DirtyInfo must reach the caches exactly once, and an empty
+	// tick is how dying cells' cached core lists get retired (skipping it
+	// would leak them into the next non-empty tick as phantom clusters —
+	// pinned by the FuzzStreamingOps corpus).
+	cres, err := core.RunIncremental(cells, params, s.inc, dirty)
+	if err != nil {
+		// The snapshot's dirty info is spent but the caches never absorbed
+		// it; drop them so the next Run recomputes from clean state instead
+		// of silently reusing stale entries.
 		s.inc = core.NewIncremental()
-		part, perr := grid.MakePartition(ex, cells, cfg.Shards)
-		if perr != nil {
-			return nil, perr
-		}
-		// A partition cut on a cancelled pool may be arbitrary; bail before
-		// handing it to the pipeline.
-		if cerr := ex.Err(); cerr != nil {
-			return nil, cerr
-		}
-		if cres, err = core.RunSharded(cells, params, part); err != nil {
-			return nil, err
-		}
-		dirtyCells, full = -1, true // -1: patched to the live cell count below
-	} else {
-		// Run the incremental pipeline even when the stream is empty: every
-		// snapshot's DirtyInfo must reach the caches exactly once, and an
-		// empty tick is how dying cells' cached core lists get retired
-		// (skipping it would leak them into the next non-empty tick as
-		// phantom clusters — pinned by the FuzzStreamingOps corpus).
-		cres, err = core.RunIncremental(cells, params, s.inc, dirty)
-		if err != nil {
-			// The snapshot's dirty info is spent but the caches never
-			// absorbed it; drop them so the next Run recomputes from clean
-			// state instead of silently reusing stale entries.
-			s.inc = core.NewIncremental()
-			return nil, err
-		}
+		return nil, err
 	}
 	numCells := 0
 	for g := 0; g < cells.NumCells(); g++ {
@@ -390,8 +381,9 @@ func (s *StreamingClusterer) RunContext(ctx context.Context, cfg Config) (res *S
 			numCells++
 		}
 	}
-	if dirtyCells < 0 {
-		dirtyCells = numCells // sharded runs recompute every live cell
+	dirtyCells := dirty.NumAffected
+	if full {
+		dirtyCells = numCells
 	}
 	s.lastStats = StreamStats{
 		NumPoints:  len(s.ids),
