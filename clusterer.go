@@ -373,6 +373,27 @@ func (c *Clusterer) Prepare(cfg Config) (err error) {
 	return err
 }
 
+// ValidateConfig reports the error RunContext would reject cfg with before
+// it runs: an Eps other than 0 or Eps(), the checks of Config.Validate, a
+// method the points' dimensionality rules out, and Spill on a Clusterer
+// with no cell store. A service calls it to answer a bad request before
+// queueing the run (engine.Submit does, for batch jobs).
+func (c *Clusterer) ValidateConfig(cfg Config) error {
+	if err := c.checkEps(cfg); err != nil {
+		return err
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if _, err := resolveMethod(c.pts.D, &cfg, &core.Params{}); err != nil {
+		return err
+	}
+	if cfg.Spill && c.store == nil {
+		return fmt.Errorf("pdbscan: Spill requires a store-backed Clusterer (OpenStoreClusterer)")
+	}
+	return nil
+}
+
 func (c *Clusterer) checkEps(cfg Config) error {
 	if cfg.Eps != 0 && cfg.Eps != c.eps {
 		return fmt.Errorf("pdbscan: Clusterer built for Eps=%v cannot run with Eps=%v (create a new Clusterer)", c.eps, cfg.Eps)
@@ -412,10 +433,7 @@ func (c *Clusterer) RunContext(ctx context.Context, cfg Config) (res *Result, er
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := c.checkEps(cfg); err != nil {
-		return nil, err
-	}
-	if err := cfg.Validate(); err != nil {
+	if err := c.ValidateConfig(cfg); err != nil {
 		return nil, err
 	}
 	defer recoverRunPanic(ctx, &err)
@@ -440,11 +458,8 @@ func (c *Clusterer) RunContext(ctx context.Context, cfg Config) (res *Result, er
 	shards := 1
 	if cfg.Spill {
 		// Out-of-core: sweep the store's shards one halo window at a time.
-		// Validate already rejected Sampler and explicit Shards; the shard
-		// schedule is the store's layout.
-		if c.store == nil {
-			return nil, fmt.Errorf("pdbscan: Spill requires a store-backed Clusterer (OpenStoreClusterer)")
-		}
+		// ValidateConfig already rejected Sampler, explicit Shards and a
+		// Clusterer with no store; the shard schedule is the store's layout.
 		var st *core.OOCStats
 		cres, st, err = core.RunOutOfCore(c.store, params, cfg.MaxResidentBytes)
 		if err != nil {

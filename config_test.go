@@ -47,7 +47,7 @@ func TestConfigValidateTable(t *testing.T) {
 		{"frac above one", func(c *Config) { c.Sampler = SamplerUniform; c.SampleFrac = 1.5 }, "SampleFrac"},
 		{"negative frac", func(c *Config) { c.Sampler = SamplerKCenter; c.SampleFrac = -0.2 }, "SampleFrac"},
 		{"NaN frac", func(c *Config) { c.Sampler = SamplerUniform; c.SampleFrac = math.NaN() }, "SampleFrac"},
-		{"sampler with multi-shard", func(c *Config) { c.Sampler = SamplerUniform; c.SampleFrac = 0.1; c.Shards = 2 }, "Shards"},
+		{"valid sampler with multi-shard", func(c *Config) { c.Sampler = SamplerUniform; c.SampleFrac = 0.1; c.Shards = 2 }, ""},
 
 		{"valid spill", func(c *Config) { c.Spill = true }, ""},
 		{"valid spill with budget", func(c *Config) { c.Spill = true; c.MaxResidentBytes = 1 << 20 }, ""},
@@ -90,7 +90,6 @@ func TestValidateMatchesRunRejection(t *testing.T) {
 		{Eps: 2, MinPts: 5, Buckets: -1},
 		{Eps: 2, MinPts: 5, Sampler: "bogus", SampleFrac: 0.1},
 		{Eps: 2, MinPts: 5, Sampler: SamplerUniform},
-		{Eps: 2, MinPts: 5, Sampler: SamplerUniform, SampleFrac: 0.1, Shards: 2},
 	}
 	c, err := NewClusterer(rows, 2)
 	if err != nil {

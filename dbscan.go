@@ -160,7 +160,9 @@ type Config struct {
 	// chosen and Rho is unset, matching the paper's default.
 	Rho float64
 	// Bucketing enables the size-sorted batched processing of core cells
-	// (the "-bucketing" suffix in the paper's experiments).
+	// (the "-bucketing" suffix in the paper's experiments), at every shard
+	// count: each shard window's graph step runs its core cells in Buckets
+	// batches.
 	Bucketing bool
 	// Buckets is the number of batches when Bucketing is set (default 32).
 	Buckets int
@@ -169,23 +171,20 @@ type Config struct {
 	Workers int
 	// Shards is the number of shards a batch run cuts its cells into: the
 	// anchored cell lattice is split into Shards contiguous spatial blocks
-	// with eps-wide halos, each block is clustered independently, and a
-	// boundary-merge pass stitches the blocks by evaluating only the
-	// cell-graph edges that cross a cut. One shard cuts nothing and runs each
-	// phase as a parallel loop over every cell. Results are identical to the
-	// one-shard run (Shards = 1) for every method, exact and approximate, up
-	// to cluster label permutation — and bit-identical whenever the method
-	// runs on the grid layout.
+	// with eps-wide halos, the cell-graph edges within each block are
+	// evaluated first, and a boundary-merge pass stitches the blocks by
+	// evaluating only the edges that cross a cut. Each step is one parallel
+	// loop over the cells, whatever the count; one shard cuts nothing.
+	// Results are identical to the one-shard run (Shards = 1) for every
+	// method, exact and approximate, up to cluster label permutation — and
+	// bit-identical whenever the method runs on the grid layout.
 	//
 	// 0 means auto: batch runs (Cluster, Clusterer.Run) pick roughly one
-	// shard per 64k points, capped at 4x the worker budget and at 1 when
-	// Bucketing is set (Bucketing batches a one-shard run's cell graph; a
-	// multi-shard run ignores it, so auto defers to the explicit scheduling
-	// request). Streaming runs (StreamingClusterer.Run) take 0 or 1 and
-	// reject anything above, because a sharded run could not reuse the
-	// incremental caches. The count is clamped to the occupied lattice (a
-	// shard cannot be thinner than one cell slab). Negative values are
-	// rejected.
+	// shard per 64k points, capped at 4x the worker budget. Streaming runs
+	// (StreamingClusterer.Run) take 0 or 1 and reject anything above,
+	// because a sharded run could not reuse the incremental caches. The
+	// count is clamped to the occupied lattice (a shard cannot be thinner
+	// than one cell slab). Negative values are rejected.
 	//
 	// The 2d-box-* methods are served by the grid cell layout when
 	// Shards > 1 (the box strips have no lattice to cut); the connectivity
@@ -202,10 +201,11 @@ type Config struct {
 	// at the cost of possibly splitting clusters whose density the sample
 	// missed; TestSampledQuality holds the trade-off (ARI >= 0.95 vs exact
 	// at SampleFrac 0.1 in 2D and 3D). Results are deterministic for a
-	// fixed (Sampler, SampleFrac, SampleSeed) at any Workers count.
+	// fixed (Sampler, SampleFrac, SampleSeed) at any Workers and Shards
+	// count.
 	//
-	// Sampled runs take one shard and are batch-only: Shards must be 0 or 1
-	// (auto resolves to 1), and StreamingClusterer rejects samplers.
+	// Sampled runs are batch-only and in-RAM: StreamingClusterer and Spill
+	// reject samplers.
 	Sampler Sampler
 	// SampleFrac is the sampled fraction m/n, in (0, 1]; required when
 	// Sampler is set, rejected when it is not. 1 samples every point, which
@@ -280,9 +280,6 @@ func (cfg *Config) Validate() error {
 		if math.IsNaN(cfg.SampleFrac) || cfg.SampleFrac <= 0 || cfg.SampleFrac > 1 {
 			return fmt.Errorf("pdbscan: SampleFrac must be in (0, 1] with Sampler %q, got %v", cfg.Sampler, cfg.SampleFrac)
 		}
-		if cfg.Shards > 1 {
-			return fmt.Errorf("pdbscan: sampled-core runs take one shard; Shards must be 0 or 1 with Sampler %q, got %d", cfg.Sampler, cfg.Shards)
-		}
 	default:
 		return fmt.Errorf("pdbscan: unknown sampler %q", cfg.Sampler)
 	}
@@ -312,14 +309,8 @@ const autoShardPoints = 1 << 16
 // over n points: explicit counts pass through, 0 applies the auto heuristic
 // documented on Config.Shards.
 func resolveShards(cfg *Config, n int) int {
-	if cfg.Sampler != SamplerNone {
-		return 1 // sampled-core runs take one shard (Validate rejects Shards > 1)
-	}
 	if cfg.Shards > 0 {
 		return cfg.Shards
-	}
-	if cfg.Bucketing {
-		return 1
 	}
 	s := n / autoShardPoints
 	if w := 4 * parallel.NewPool(cfg.Workers).Workers(); s > w {

@@ -88,7 +88,9 @@ const DefaultMaxQueue = 64
 // Request describes one job: a run target (exactly one of Clusterer,
 // Streaming, or Hierarchy), its Config, and a scheduling priority.
 type Request struct {
-	// Clusterer runs Config as a batch job (Clusterer.RunContext).
+	// Clusterer runs Config as a batch job (Clusterer.RunContext). Submit
+	// applies the clusterer's ValidateConfig, so a Config the run would
+	// reject never occupies a queue slot.
 	Clusterer *pdbscan.Clusterer
 	// Streaming runs Config as a streaming tick (StreamingClusterer.
 	// RunContext). Submit applies the clusterer's ValidateConfig, so a
@@ -200,13 +202,17 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Job, error) {
 	if targets != 1 {
 		return nil, ErrBadRequest
 	}
-	cfgCheck := req.Config
-	if req.Streaming != nil {
-		if err := req.Streaming.ValidateConfig(cfgCheck); err != nil {
+	switch {
+	case req.Clusterer != nil:
+		if err := req.Clusterer.ValidateConfig(req.Config); err != nil {
 			return nil, err
 		}
-	}
-	if req.Hierarchy != nil {
+	case req.Streaming != nil:
+		if err := req.Streaming.ValidateConfig(req.Config); err != nil {
+			return nil, err
+		}
+	default:
+		cfgCheck := req.Config
 		if err := req.Hierarchy.ValidateEps(cfgCheck.Eps); err != nil {
 			return nil, err
 		}
@@ -218,9 +224,9 @@ func (e *Engine) Submit(ctx context.Context, req Request) (*Job, error) {
 			return nil, fmt.Errorf("engine: Config.MinPts %d must be 0 or the hierarchy's MinPts %d",
 				cfgCheck.MinPts, req.Hierarchy.MinPts())
 		}
-	}
-	if err := cfgCheck.Validate(); err != nil {
-		return nil, err
+		if err := cfgCheck.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

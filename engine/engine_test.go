@@ -342,6 +342,7 @@ func TestEngineSubmitValidation(t *testing.T) {
 	e := New(Options{Budget: 2})
 	defer e.Close()
 	c := mustClusterer(t, genPoints(500, 8), 2)
+	c3 := mustClusterer(t, [][]float64{{0, 0, 0}, {1, 1, 1}, {2, 0, 1}}, 2)
 	s, _ := pdbscan.NewStreamingClusterer(2, 2)
 	s3, _ := pdbscan.NewStreamingClusterer(3, 2)
 	h, err := c.BuildHierarchy(5)
@@ -359,6 +360,9 @@ func TestEngineSubmitValidation(t *testing.T) {
 		{"hierarchy plus streaming", Request{Streaming: s, Hierarchy: h, Config: pdbscan.Config{Eps: 2, MinPts: 5}}},
 		{"bad config", Request{Clusterer: c, Config: pdbscan.Config{Eps: 2, MinPts: 0}}},
 		{"negative shards", Request{Clusterer: c, Config: pdbscan.Config{Eps: 2, MinPts: 5, Shards: -1}}},
+		{"batch eps mismatch", Request{Clusterer: c, Config: pdbscan.Config{Eps: 3, MinPts: 5}}},
+		{"batch 2D-only method on 3D", Request{Clusterer: c3, Config: pdbscan.Config{MinPts: 5, Method: pdbscan.Method2DGridUSEC}}},
+		{"batch spill in memory", Request{Clusterer: c, Config: pdbscan.Config{MinPts: 5, Spill: true}}},
 		{"hierarchy zero eps", Request{Hierarchy: h, Config: pdbscan.Config{Eps: 0}}},
 		{"hierarchy eps beyond build", Request{Hierarchy: h, Config: pdbscan.Config{Eps: 2.5}}},
 		{"hierarchy mismatched minpts", Request{Hierarchy: h, Config: pdbscan.Config{Eps: 1, MinPts: 7}}},

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 
 	"pdbscan/internal/unionfind"
@@ -11,9 +12,10 @@ import (
 // almost nothing in steady state. It holds two kinds of scratch:
 //
 //   - runScratch: the per-run phase buffers (per-cell core lists and their
-//     flat backing store, core bounding boxes, the union-find, lazy
-//     tree/USEC tables). Exactly one run checks a runScratch out for its
-//     whole duration and returns it at the end.
+//     flat backing store, core bounding boxes, the union-find and the
+//     core-cell flags, lazy tree/USEC tables). Exactly one run checks a
+//     runScratch out for its whole duration and returns it at the end; the
+//     windows of an executor run use it one at a time.
 //
 //   - workerScratch: the small per-worker buffers of the parallel hot loops
 //     (BCP filter outputs, border label sets, distance-ordered neighbor
@@ -49,9 +51,24 @@ type runScratch struct {
 	coreBBLo  []float64
 	coreBBHi  []float64
 	uf        unionfind.UF
+	hasCore   []bool  // the executor's per-global-cell core flags
+	ids       []int32 // ids[i] == i: the identity table behind cellIDs
 	allTrees  []lazyTree
 	coreTrees []lazyTree
 	usecCells []usecCell
+}
+
+// cellIDs returns the cell ids lo, ..., hi-1 as a slice of the identity
+// table, which grows to the largest hi asked for and is never rewritten, so
+// a window lists its owned cells without a per-run copy.
+func (rs *runScratch) cellIDs(lo, hi int) []int32 {
+	if n := len(rs.ids); n < hi {
+		rs.ids = slices.Grow(rs.ids, hi-n)
+		for i := n; i < hi; i++ {
+			rs.ids = append(rs.ids, int32(i))
+		}
+	}
+	return rs.ids[lo:hi]
 }
 
 // workerScratch is the pooled per-worker state of the parallel hot loops.
@@ -65,7 +82,7 @@ type workerScratch struct {
 	nbrKey    []int32   // markCellCore (grid cells): the lattice keys of nbrOrder
 	nbrBucket []int32   // markCellCore (grid cells): counting-sort bucket starts
 	nbrSorted []int32   // markCellCore (grid cells): nbrOrder in lattice-key order
-	cellOrder []int32   // runShards: per-shard size-sorted owned core cells
+	cellOrder []int32   // graphSteps: the window's size-sorted owned core cells
 	sorter    nbrSorter // sortNeighborsByDist: allocation-free sort.Sort adapter
 
 	kthHeap   []float64    // cellCoreDistances: bounded max-heap of the k smallest d2
@@ -144,6 +161,16 @@ func floatBuf(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
+}
+
+// boolBuf returns buf resized to n and cleared.
+func boolBuf(buf []bool, n int) []bool {
+	if cap(buf) < n {
+		return make([]bool, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // slicesBuf returns buf resized to n with every slot up to the full capacity

@@ -10,7 +10,7 @@ type connectFunc func(g, h int32, ws *workerScratch) bool
 // coreSizeLess is the SortBySize ordering of Algorithm 3 (line 3): core-point
 // count descending, ties by cell index, so large cells connect their
 // surroundings early and prune later queries. The graph step sorts every
-// shard's owned core cells by it.
+// window's owned core cells by it.
 func (st *pipeline) coreSizeLess(a, b int32) bool {
 	ca, cb := len(st.corePts[a]), len(st.corePts[b])
 	if ca != cb {

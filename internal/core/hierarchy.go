@@ -84,8 +84,9 @@ func ComputeHierarchy(cells *grid.Cells, p Params) (*HierarchyData, error) {
 	if p.Sample != nil {
 		return nil, fmt.Errorf("core: sampled-core mode does not apply to hierarchy builds")
 	}
-	st := newPipeline(cells, p)
-	defer st.release()
+	rs := p.Arena.getRun()
+	defer p.Arena.putRun(rs)
+	st := newPipeline(cells, p, rs)
 	if err := st.phase("coredist"); err != nil {
 		return nil, err
 	}

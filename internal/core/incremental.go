@@ -144,9 +144,7 @@ func RunIncremental(cells *grid.Cells, p Params, inc *Incremental, dirty *grid.D
 	if len(inc.coreFlags) < n {
 		inc.coreFlags = append(inc.coreFlags, make([]bool, n-len(inc.coreFlags))...)
 	}
-	src := &ramSource{cells: cells, part: inc.part}
-	defer src.release()
-	r := newShardRun(src, numCells, p, inc.coreFlags[:n])
+	r := newShardRun(&ramSource{cells: cells, part: inc.part}, numCells, p, inc.coreFlags[:n])
 	res, err := r.run(func(w *shardWindow) error {
 		st := w.st
 		// MarkCore, restricted to core-dirty cells over the cached flags.
@@ -158,7 +156,7 @@ func RunIncremental(cells *grid.Cells, p Params, inc *Incremental, dirty *grid.D
 				st.coreFlags[i] = false // freed point slot
 			}
 		})
-		w.each(w.ownedCells, func(g int32, ws *workerScratch) {
+		st.eachCell(w.owned, func(g int32, ws *workerScratch) {
 			if (allDirty || affected[g]) && cells.CellSize(int(g)) > 0 {
 				st.markCellCore(int(g), ws)
 			}

@@ -151,26 +151,19 @@ func (s *storeSource) open(r *shardRun, sh int, border bool) (*shardWindow, erro
 		}
 	}
 	ownLo, ownHi := store.ShardCells(sh)
-	owned := make([]int32, ownHi-ownLo)
-	for i := range owned {
-		owned[i] = int32(ownLo - cellLo + i)
-	}
+	owned := r.rs.cellIDs(ownLo-cellLo, ownHi-cellLo)
 
 	ex := r.p.Exec
 	cells := grid.BuildCellMajor(ex, pts, store.Eps(), cellStart, abs, store.Axis())
 	cells.ComputeNeighbors(ex, owned)
-	st := r.window(cells, cellLo, m.PointLo)
 	w := &shardWindow{
-		st:        st,
-		owned:     [][]int32{owned},
-		cross:     [][]int32{owned},
+		st:        r.window(cells, cellLo, m.PointLo),
+		owned:     owned,
+		cross:     owned,
 		shardOf:   shardOf,
 		recollect: ownLo - cellLo,
 		flagLo:    m.PointLo,
-		close: func() {
-			st.release()
-			m.Release()
-		},
+		close:     m.Release,
 	}
 	if border {
 		w.recollect = numCells

@@ -104,7 +104,7 @@ type Params struct {
 
 // PhaseTimings records how long each pipeline phase of one run took; a phase
 // announced once per shard window accumulates over the windows. The batch
-// paths (Run, RunSharded, RunOutOfCore) report their per-shard mark+collect
+// paths (Run, RunSharded, RunOutOfCore) report their per-window mark+collect
 // step as Mark, the intra-shard graph as Graph, and the cross-shard pairs as
 // Merge, and leave Collect zero; the incremental path reports collection as
 // Collect and leaves Merge zero.
@@ -154,7 +154,7 @@ type pipeline struct {
 	pts geom.Points
 
 	arena *Arena      // == p.Arena (nil: no pooling)
-	rs    *runScratch // this run's checked-out scratch; returned by release
+	rs    *runScratch // this run's checked-out scratch
 
 	phaseClock
 
@@ -219,14 +219,14 @@ func validateCells(cells *grid.Cells, p *Params) error {
 	return validateParams(cells.Pts.D, cells.Pts.N, p)
 }
 
-// newPipeline builds the per-run state: the dimension-resolved kernel over
-// the cells' payload and a runScratch checked out of p.Arena (fresh when
-// nil). Callers must pair it with release.
-func newPipeline(cells *grid.Cells, p Params) *pipeline {
+// newPipeline builds the per-run state over the cells: the
+// dimension-resolved kernel over their payload, with buffers from rs, a
+// runScratch the caller checked out of p.Arena and returns after the run.
+func newPipeline(cells *grid.Cells, p Params, rs *runScratch) *pipeline {
 	pts := cells.PayloadPts()
 	st := &pipeline{
 		cells: cells, p: p, eps: cells.Eps, eps2: cells.Eps * cells.Eps,
-		ex: p.Exec, k: geom.NewKernel(pts), arena: p.Arena, rs: p.Arena.getRun(),
+		ex: p.Exec, k: geom.NewKernel(pts), arena: p.Arena, rs: rs,
 		pts: pts,
 	}
 	if cells.Coords != nil {
@@ -237,15 +237,7 @@ func newPipeline(cells *grid.Cells, p Params) *pipeline {
 	return st
 }
 
-// release returns the run's scratch to the arena. The scratch keeps aliases
-// into the cells (core point lists alias cell point lists) — that is fine,
-// the arena belongs to the Clusterer that owns the cells.
-func (st *pipeline) release() {
-	st.arena.putRun(st.rs)
-	st.rs = nil
-}
-
-// getWS checks a workerScratch out for one parallel block (or one shard).
+// getWS checks a workerScratch out for one parallel block.
 func (st *pipeline) getWS() *workerScratch { return st.arena.getWorker() }
 
 // putWS returns a block's workerScratch.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"pdbscan/internal/grid"
 	"pdbscan/internal/parallel"
@@ -11,10 +13,11 @@ import (
 
 // RunSharded executes the pipeline as a partition/merge computation over a
 // spatial Partition of the cells: the sharded executor (runShards) over one
-// window that holds every shard. Several shards run each step in parallel,
-// each shard serially; one shard (Run) runs each step as a parallel loop
-// over its cells. Cross-shard pairs are visited only from the Partition's
-// Boundary cells.
+// window that holds every shard. Every step of a window is one parallel loop
+// over the window's cells, however many shards it owns (Algorithm 3's loop
+// over the core cells, pruned by the shared union-find). The graph step
+// evaluates the pairs within a shard; cross-shard pairs are visited only
+// from the Partition's Boundary cells, in the merge step.
 //
 // The result is the same for every partition of the same cells — bit for
 // bit, not merely up to label permutation — for every strategy including
@@ -37,11 +40,9 @@ import (
 //     independent of union order — and DenseRoots assigns labels by root
 //     order, so equal components mean equal labels.
 //
-// Bucketing (Section 4.4) schedules a one-shard window's graph step in
-// size-sorted batches. A window with several shards ignores it: each shard
-// already processes its cells in size-sorted order, serially, so earlier
-// (larger) cells prune later queries within the shard. Results are
-// unaffected either way (the components do not depend on evaluation order).
+// Bucketing (Section 4.4) schedules every window's graph step in size-sorted
+// batches. Results are unaffected either way (the components do not depend
+// on evaluation order).
 //
 // A Sample mask is keyed by original point index, as the in-RAM window's
 // core flags are.
@@ -49,9 +50,7 @@ func RunSharded(cells *grid.Cells, p Params, part *grid.Partition) (*Result, err
 	if cells.Neighbors == nil || part == nil || len(part.ShardOf) != cells.NumCells() {
 		return nil, fmt.Errorf("core: RunSharded requires cells with neighbor lists and a Partition of them")
 	}
-	src := &ramSource{cells: cells, part: part}
-	defer src.release()
-	return runShards(src, cells.Pts.D, cells.Pts.N, cells.NumCells(), p)
+	return runShards(&ramSource{cells: cells, part: part}, cells.Pts.D, cells.Pts.N, cells.NumCells(), p)
 }
 
 // shardSource yields the windows a sharded run sweeps. A window is a cell
@@ -67,13 +66,13 @@ type shardSource interface {
 	label(ex *parallel.Pool, coreFlags []bool, labels []int32, cellLabel func(gc int32) int32)
 }
 
-// shardWindow is one open window: its pipeline (whose core flags and
-// union-find are the run's) and the shards it owns.
+// shardWindow is one open window: its pipeline (whose core flags, union-find
+// and scratch are the run's) and the cells it owns.
 type shardWindow struct {
 	st      *pipeline
-	owned   [][]int32 // per owned shard: its cells, ascending local ids
-	cross   [][]int32 // per owned shard: the owned cells that may neighbor an earlier shard
-	shardOf []int32   // local cell -> shard
+	owned   []int32 // the owned cells, ascending local ids
+	cross   []int32 // the owned cells that may neighbor an earlier shard
+	shardOf []int32 // local cell -> shard
 	// recollect is the number of leading local cells whose core state this
 	// window rebuilds from the run's flags before the step that reads it:
 	// earlier shards' cells before the cross-shard pairs, every cell before
@@ -85,10 +84,13 @@ type shardWindow struct {
 
 // shardRun is the state of one run of the executor, keyed globally: core
 // flags and labels in flag order, and the union-find over global cell ids.
+// The union-find and hasCore live in the run's scratch, checked out of
+// p.Arena for the run and shared by every window's pipeline.
 type shardRun struct {
 	phaseClock
 	p         Params
 	src       shardSource
+	rs        *runScratch
 	uf        *unionfind.UF
 	coreFlags []bool
 	hasCore   []bool // per global cell: holds a core point
@@ -111,14 +113,18 @@ func runShards(src shardSource, d, n, numCells int, p Params) (*Result, error) {
 }
 
 // newShardRun readies a run over the source's numCells global cells whose
-// core flags, in flag order, are coreFlags.
+// core flags, in flag order, are coreFlags. run returns its scratch.
 func newShardRun(src shardSource, numCells int, p Params, coreFlags []bool) *shardRun {
+	rs := p.Arena.getRun()
+	rs.uf.Reset(numCells)
+	rs.hasCore = boolBuf(rs.hasCore, numCells)
 	r := &shardRun{
 		p:         p,
 		src:       src,
-		uf:        unionfind.New(numCells),
+		rs:        rs,
+		uf:        &rs.uf,
 		coreFlags: coreFlags,
-		hasCore:   make([]bool, numCells),
+		hasCore:   rs.hasCore,
 		border:    borderSet{m: make(map[int32][]int32)},
 	}
 	r.phaseClock.p = &r.p
@@ -132,6 +138,7 @@ func newShardRun(src shardSource, numCells int, p Params, coreFlags []bool) *sha
 // over the global cells ("label"), and the border sweep attaches every
 // window's owned non-core points ("border").
 func (r *shardRun) run(graph func(*shardWindow) error) (*Result, error) {
+	defer r.p.Arena.putRun(r.rs)
 	if err := r.sweep(false, graph); err != nil {
 		return nil, err
 	}
@@ -186,10 +193,11 @@ func (r *shardRun) sweep(border bool, step func(*shardWindow) error) error {
 }
 
 // window stands a pipeline up over a window's cells: its core flags are the
-// run's, from flag index flagLo on, and its unions land in the run's
-// union-find, local cell g as global cell cellLo+g. The caller releases it.
+// run's, from flag index flagLo on, its unions land in the run's union-find,
+// local cell g as global cell cellLo+g, and its buffers are the run's
+// scratch, which one window at a time uses.
 func (r *shardRun) window(cells *grid.Cells, cellLo, flagLo int) *pipeline {
-	st := newPipeline(cells, r.p)
+	st := newPipeline(cells, r.p, r.rs)
 	st.cellLo = int32(cellLo)
 	st.uf = r.uf
 	st.coreFlags = r.coreFlags[flagLo : flagLo+cells.Pts.N]
@@ -201,13 +209,14 @@ func (r *shardRun) window(cells *grid.Cells, cellLo, flagLo int) *pipeline {
 	return st
 }
 
-// graphSteps runs the graph sweep's steps on one window.
+// graphSteps runs the graph sweep's steps on one window, each a parallel
+// loop over the window's cells.
 func (r *shardRun) graphSteps(w *shardWindow) error {
 	st := w.st
 	if err := r.phase("mark"); err != nil {
 		return err
 	}
-	w.each(w.ownedCells, func(g int32, ws *workerScratch) {
+	st.eachCell(w.owned, func(g int32, ws *workerScratch) {
 		st.markCellCore(int(g), ws)
 		st.collectCellCore(int(g))
 		if len(st.corePts[g]) > 0 {
@@ -218,57 +227,55 @@ func (r *shardRun) graphSteps(w *shardWindow) error {
 	if err := r.phase("graph"); err != nil {
 		return err
 	}
+	ws := st.getWS()
+	defer st.putWS(ws)
+	order := ws.cellOrder[:0]
+	for _, g := range w.owned {
+		if len(st.corePts[g]) > 0 {
+			order = append(order, g)
+		}
+	}
+	ws.cellOrder = order // keep grown capacity
 	var connect connectFunc
 	if st.p.Graph == GraphDelaunay {
-		// Each shard triangulates its own core points; cross-shard pairs
-		// take the exact per-pair predicate.
+		// Each shard's owned core points are triangulated on their own, the
+		// shards in parallel: insertion is serial and grows faster than the
+		// point count, so one triangulation over a window of several shards
+		// is the slower schedule. Cross-shard pairs take the exact per-pair
+		// predicate.
 		connect = st.bcpConnected
-		st.ex.ForGrain(len(w.owned), 1, func(i int) {
-			var coreCells []int32
-			for _, g := range w.owned[i] {
-				if len(st.corePts[g]) > 0 {
-					coreCells = append(coreCells, g)
-				}
+		slices.SortStableFunc(order, func(a, b int32) int { return cmp.Compare(w.shardOf[a], w.shardOf[b]) })
+		var starts []int // where each shard's cells begin in order
+		for i, g := range order {
+			if i == 0 || w.shardOf[g] != w.shardOf[order[i-1]] {
+				starts = append(starts, i)
 			}
-			st.delaunayUnion(coreCells)
-		})
+		}
+		starts = append(starts, len(order))
+		st.ex.ForGrain(len(starts)-1, 1, func(i int) { st.delaunayUnion(order[starts[i]:starts[i+1]]) })
 	} else {
 		connect = st.connectFn()
 		// Owned core cells in SortBySize order (Algorithm 3, line 3), each
 		// examining its same-shard neighbors of lower id (local ids order
-		// as global ones within a window).
-		sorted := func(i int, ws *workerScratch) []int32 {
-			order := ws.cellOrder[:0]
-			for _, g := range w.owned[i] {
-				if len(st.corePts[g]) > 0 {
-					order = append(order, g)
-				}
-			}
-			prim.Sort(st.ex, order, st.coreSizeLess)
-			ws.cellOrder = order // keep grown capacity
-			return order
+		// as global ones within a window). Without Bucketing the sorted
+		// cells are one batch; with it (Section 4.4) they run in Buckets
+		// batches, sequential across batches and parallel within each, so
+		// the unions of earlier (larger) cells prune later batches' queries.
+		prim.Sort(st.ex, order, st.coreSizeLess)
+		batches := 1
+		if st.p.Bucketing {
+			batches = st.p.Buckets
 		}
-		pairs := func(g int32, ws *workerScratch) {
-			s := w.shardOf[g]
-			for _, h := range st.cells.Neighbors[g] {
-				if h < g && w.shardOf[h] == s {
-					st.processPair(g, h, connect, ws)
+		size := max(1, (len(order)+batches-1)/batches)
+		for lo := 0; lo < len(order) && !st.cancelled(); lo += size {
+			st.eachCell(order[lo:min(lo+size, len(order))], func(g int32, ws *workerScratch) {
+				s := w.shardOf[g]
+				for _, h := range st.cells.Neighbors[g] {
+					if h < g && w.shardOf[h] == s {
+						st.processPair(g, h, connect, ws)
+					}
 				}
-			}
-		}
-		if st.p.Bucketing && len(w.owned) == 1 {
-			// Bucketing (Section 4.4): the sorted cells in Buckets batches,
-			// sequential across batches and parallel within each, so the
-			// unions of earlier (larger) cells prune later batches' queries.
-			ws := st.getWS()
-			order := sorted(0, ws)
-			size := max(1, (len(order)+st.p.Buckets-1)/st.p.Buckets)
-			for lo := 0; lo < len(order) && !st.cancelled(); lo += size {
-				st.eachCell(order[lo:min(lo+size, len(order))], pairs)
-			}
-			st.putWS(ws)
-		} else {
-			w.each(sorted, pairs)
+			})
 		}
 	}
 
@@ -276,7 +283,7 @@ func (r *shardRun) graphSteps(w *shardWindow) error {
 		return err
 	}
 	st.ex.ForGrain(w.recollect, 1, st.collectCellCore)
-	w.each(func(i int, _ *workerScratch) []int32 { return w.cross[i] }, func(g int32, ws *workerScratch) {
+	st.eachCell(w.cross, func(g int32, ws *workerScratch) {
 		if len(st.corePts[g]) == 0 {
 			return
 		}
@@ -300,37 +307,10 @@ func (r *shardRun) borderStep(w *shardWindow) error {
 	}
 	st.ex.ForGrain(w.recollect, 1, st.collectCellCore)
 	labels := r.labels[w.flagLo : w.flagLo+st.cells.Pts.N]
-	w.each(w.ownedCells, func(g int32, ws *workerScratch) {
+	st.eachCell(w.owned, func(g int32, ws *workerScratch) {
 		st.borderCell(int(g), labels, ws, &r.border, int32(w.flagLo))
 	})
 	return r.phase("")
-}
-
-// ownedCells lists the cells of the window's i-th owned shard.
-func (w *shardWindow) ownedCells(i int, _ *workerScratch) []int32 { return w.owned[i] }
-
-// each runs body over the cells list(i, ws) returns for every owned shard i,
-// stopping at cancellation. The window decides the loop shape: several
-// shards run in parallel, each one serially on one goroutine; a single
-// shard runs in parallel over its cells.
-func (w *shardWindow) each(list func(i int, ws *workerScratch) []int32, body func(g int32, ws *workerScratch)) {
-	st := w.st
-	if len(w.owned) != 1 {
-		st.ex.ForGrain(len(w.owned), 1, func(i int) {
-			ws := st.getWS()
-			for _, g := range list(i, ws) {
-				if st.cancelled() {
-					break
-				}
-				body(g, ws)
-			}
-			st.putWS(ws)
-		})
-		return
-	}
-	lws := st.getWS()
-	st.eachCell(list(0, lws), body)
-	st.putWS(lws)
 }
 
 // eachCell runs body over cells as a parallel loop of blocks, each with its
@@ -349,7 +329,8 @@ func (st *pipeline) eachCell(cells []int32, body func(g int32, ws *workerScratch
 }
 
 // ramSource is the in-RAM source: one window over every cell, whose local
-// cell ids are the global ones, kept open across both sweeps.
+// cell ids are the global ones, kept open across both sweeps. Its cross
+// cells are every shard's Boundary cells.
 type ramSource struct {
 	cells *grid.Cells
 	part  *grid.Partition
@@ -362,8 +343,8 @@ func (s *ramSource) open(r *shardRun, _ int, _ bool) (*shardWindow, error) {
 	if s.win == nil {
 		s.win = &shardWindow{
 			st:      r.window(s.cells, 0, 0),
-			owned:   s.part.Owned,
-			cross:   s.part.Boundary,
+			owned:   r.rs.cellIDs(0, s.cells.NumCells()),
+			cross:   slices.Concat(s.part.Boundary...),
 			shardOf: s.part.ShardOf,
 		}
 	}
@@ -380,11 +361,4 @@ func (s *ramSource) label(ex *parallel.Pool, coreFlags []bool, labels []int32, c
 			labels[i] = -1
 		}
 	})
-}
-
-// release returns the window's scratch to the arena.
-func (s *ramSource) release() {
-	if s.win != nil {
-		s.win.st.release()
-	}
 }

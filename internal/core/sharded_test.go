@@ -11,7 +11,6 @@ import (
 	"pdbscan/internal/geom"
 	"pdbscan/internal/grid"
 	"pdbscan/internal/metrics"
-	"pdbscan/internal/unionfind"
 )
 
 // shardedTestCells builds grid cells with neighbors for random clustered
@@ -39,13 +38,15 @@ func shardedTestCells(t *testing.T, n, d int, seed int64, eps float64) *grid.Cel
 //
 // The uniform layout is dense in cell pairs whose approximate quadtree
 // answer depends on the query direction, so it fails unless every path
-// orients each pair the same way.
+// orients each pair the same way. The bucketed row runs every window's
+// graph step in batches.
 func TestRunShardedMatchesRun(t *testing.T) {
 	type strategy struct {
-		name  string
-		mark  MarkStrategy
-		graph GraphStrategy
-		rho   float64
+		name    string
+		mark    MarkStrategy
+		graph   GraphStrategy
+		rho     float64
+		buckets int // > 0: Bucketing with this many batches
 	}
 	type layout struct {
 		name       string
@@ -62,16 +63,17 @@ func TestRunShardedMatchesRun(t *testing.T) {
 			minPts: 5,
 			ks:     []int{2, 3, 9},
 			strategies: []strategy{
-				{"scan-bcp", MarkScan, GraphBCP, 0},
-				{"qt-qt", MarkQuadtree, GraphQuadtree, 0},
-				{"scan-approx", MarkScan, GraphApprox, 0.05},
-				{"qt-approx", MarkQuadtree, GraphApprox, 0.3},
+				{"scan-bcp", MarkScan, GraphBCP, 0, 0},
+				{"scan-bcp-bucketed", MarkScan, GraphBCP, 0, 3},
+				{"qt-qt", MarkQuadtree, GraphQuadtree, 0, 0},
+				{"scan-approx", MarkScan, GraphApprox, 0.05, 0},
+				{"qt-approx", MarkQuadtree, GraphApprox, 0.3, 0},
 			},
 		}
 		if d == 2 {
 			l.strategies = append(l.strategies,
-				strategy{"scan-usec", MarkScan, GraphUSEC, 0},
-				strategy{"scan-delaunay", MarkScan, GraphDelaunay, 0})
+				strategy{"scan-usec", MarkScan, GraphUSEC, 0, 0},
+				strategy{"scan-delaunay", MarkScan, GraphDelaunay, 0, 0})
 		}
 		layouts = append(layouts, l)
 	}
@@ -88,14 +90,14 @@ func TestRunShardedMatchesRun(t *testing.T) {
 		minPts: 3,
 		ks:     []int{5},
 		strategies: []strategy{
-			{"scan-approx", MarkScan, GraphApprox, 0.5},
-			{"qt-approx", MarkQuadtree, GraphApprox, 0.5},
+			{"scan-approx", MarkScan, GraphApprox, 0.5, 0},
+			{"qt-approx", MarkQuadtree, GraphApprox, 0.5, 0},
 		},
 	})
 
 	for _, l := range layouts {
 		for _, s := range l.strategies {
-			p := Params{MinPts: l.minPts, Mark: s.mark, Graph: s.graph, Rho: s.rho}
+			p := Params{MinPts: l.minPts, Mark: s.mark, Graph: s.graph, Rho: s.rho, Bucketing: s.buckets > 0, Buckets: s.buckets}
 			want, err := Run(l.cells, p)
 			if err != nil {
 				t.Fatalf("%s %s: Run: %v", l.name, s.name, err)
@@ -186,7 +188,7 @@ func TestStoreWindowNeighbors(t *testing.T) {
 		}
 		store := writeTestStore(t, cells, part)
 		src := &storeSource{store: store}
-		r := &shardRun{p: Params{MinPts: 5}, uf: unionfind.New(store.NumCells()), coreFlags: make([]bool, store.NumPoints())}
+		r := newShardRun(src, store.NumCells(), Params{MinPts: 5}, make([]bool, store.NumPoints()))
 		halo, refs := 0, 0
 		for _, border := range []bool{false, true} {
 			for sh := range src.windows() {
@@ -195,7 +197,7 @@ func TestStoreWindowNeighbors(t *testing.T) {
 					t.Fatalf("d=%d shard %d: %v", l.d, sh, err)
 				}
 				owned := make(map[int32]bool)
-				for _, g := range w.owned[0] {
+				for _, g := range w.owned {
 					owned[g] = true
 				}
 				nbrs := w.st.cells.Neighbors

@@ -74,9 +74,6 @@ func DistSq(a, b []float64) float64 {
 	return s
 }
 
-// Dist returns the Euclidean distance between a and b.
-func Dist(a, b []float64) float64 { return math.Sqrt(DistSq(a, b)) }
-
 // PointBoxDistSq returns the squared distance from point p to the axis-aligned
 // box [lo, hi] (zero if p is inside).
 func PointBoxDistSq(p, lo, hi []float64) float64 {

@@ -39,12 +39,6 @@ func TestBounds(t *testing.T) {
 	}
 }
 
-func TestDistKnown(t *testing.T) {
-	if d := Dist([]float64{0, 0}, []float64{3, 4}); math.Abs(d-5) > 1e-12 {
-		t.Fatalf("dist = %v, want 5", d)
-	}
-}
-
 func TestDistSqSymmetricNonneg(t *testing.T) {
 	f := func(a, b [3]float64) bool {
 		d1 := DistSq(a[:], b[:])

@@ -76,11 +76,6 @@ func (k Kernel) genericDistSq(a, b int32) float64 {
 	return s
 }
 
-// WithinSq reports whether points a and b are within squared distance eps2.
-func (k Kernel) WithinSq(a, b int32, eps2 float64) bool {
-	return k.DistSq(a, b) <= eps2
-}
-
 // DistSqRow returns the squared distance between the coordinate row q and
 // point p by index — the form the tree traversals use, where the query
 // arrives as a row and the candidates as indices.

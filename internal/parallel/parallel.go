@@ -466,33 +466,6 @@ func (ex *Pool) ReduceInt(n int, f func(i int) int) int {
 	return total
 }
 
-// ReduceFloat64Min computes the minimum over i in [0, n) of f(i).
-// Returns +Inf-like behaviour via the identity argument when n == 0.
-func (ex *Pool) ReduceFloat64Min(n int, identity float64, f func(i int) float64) float64 {
-	ex = ex.snapshot()
-	nb := ex.NumBlocks(n, 0)
-	if nb == 0 {
-		return identity
-	}
-	partial := make([]float64, nb)
-	ex.BlockedForIdx(n, 0, func(b, lo, hi int) {
-		m := identity
-		for i := lo; i < hi; i++ {
-			if v := f(i); v < m {
-				m = v
-			}
-		}
-		partial[b] = m
-	})
-	m := identity
-	for _, v := range partial {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
 // Do runs the given functions in parallel and waits for all of them. It is
 // the binary (n-ary) fork of fork-join divide-and-conquer algorithms. Forks
 // are unconditional (callers bound recursion depth with a worker budget), so
@@ -562,11 +535,6 @@ func NumBlocks(n, grain int) int { return Default().NumBlocks(n, grain) }
 
 // ReduceInt sums f(i) over [0, n) on the default pool.
 func ReduceInt(n int, f func(i int) int) int { return Default().ReduceInt(n, f) }
-
-// ReduceFloat64Min minimizes f(i) over [0, n) on the default pool.
-func ReduceFloat64Min(n int, identity float64, f func(i int) float64) float64 {
-	return Default().ReduceFloat64Min(n, identity, f)
-}
 
 // Workers reports the default pool's worker budget (GOMAXPROCS).
 func Workers() int { return Default().Workers() }

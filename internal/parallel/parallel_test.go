@@ -246,17 +246,6 @@ func TestReduceIntMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestReduceFloat64Min(t *testing.T) {
-	xs := []float64{5, 3, 9, -2, 7}
-	got := ReduceFloat64Min(len(xs), 1e18, func(i int) float64 { return xs[i] })
-	if got != -2 {
-		t.Fatalf("min = %v, want -2", got)
-	}
-	if got := ReduceFloat64Min(0, 42, nil); got != 42 {
-		t.Fatalf("empty min = %v, want identity 42", got)
-	}
-}
-
 func TestReduceIntLarge(t *testing.T) {
 	n := 1 << 20
 	got := ReduceInt(n, func(i int) int { return 1 })

@@ -113,8 +113,3 @@ func mergeSort[T any](ex *parallel.Pool, a, buf []T, less func(x, y T) bool, bud
 	Merge(ex, a[:mid], a[mid:], buf, less)
 	copy(a, buf)
 }
-
-// SortInts sorts a slice of int32 keys ascending, in parallel.
-func SortInts(ex *parallel.Pool, a []int32) {
-	Sort(ex, a, func(x, y int32) bool { return x < y })
-}

@@ -91,15 +91,6 @@ func TestFilterIndexLarge(t *testing.T) {
 	}
 }
 
-func TestPack(t *testing.T) {
-	a := []string{"a", "b", "c", "d"}
-	flags := []bool{true, false, false, true}
-	got := Pack(nil, a, flags)
-	if len(got) != 2 || got[0] != "a" || got[1] != "d" {
-		t.Fatalf("Pack = %v", got)
-	}
-}
-
 func TestCountIf(t *testing.T) {
 	if got := CountIf(nil, 1000, func(i int) bool { return i < 10 }); got != 10 {
 		t.Fatalf("CountIf = %d, want 10", got)

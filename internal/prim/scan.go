@@ -134,17 +134,6 @@ func FilterIndex(ex *parallel.Pool, n int, pred func(int) bool) []int32 {
 	return out
 }
 
-// Pack copies a[i] for the true positions of flags into a fresh slice,
-// preserving order. len(flags) must equal len(a).
-func Pack[T any](ex *parallel.Pool, a []T, flags []bool) []T {
-	idx := FilterIndex(ex, len(a), func(i int) bool { return flags[i] })
-	out := make([]T, len(idx))
-	ex.For(len(idx), func(i int) {
-		out[i] = a[idx[i]]
-	})
-	return out
-}
-
 // CountIf counts the i in [0, n) for which pred(i) holds, in parallel.
 func CountIf(ex *parallel.Pool, n int, pred func(int) bool) int {
 	return ex.ReduceInt(n, func(i int) int {

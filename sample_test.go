@@ -1,6 +1,7 @@
 package pdbscan
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -175,38 +176,44 @@ func TestSampledFullFracIsExact(t *testing.T) {
 }
 
 // TestSampledDeterministicAcrossWorkers: one (Sampler, SampleFrac,
-// SampleSeed) must produce the identical clustering at any worker budget —
-// fresh Clusterers per worker count, so the mask cache cannot mask a
+// SampleSeed) must produce the identical clustering at any worker budget and
+// shard count — fresh Clusterers per run, so the mask cache cannot mask a
 // nondeterministic sampler.
 func TestSampledDeterministicAcrossWorkers(t *testing.T) {
 	rows := blobs(800, 2, 23)
-	run := func(workers int, sampler Sampler) *Result {
+	run := func(workers, shards int, sampler Sampler) *Result {
 		c, err := NewClusterer(rows, 2.5)
 		if err != nil {
 			t.Fatal(err)
 		}
 		res, err := c.Run(Config{
-			MinPts: 5, Workers: workers,
+			MinPts: 5, Workers: workers, Shards: shards,
 			Sampler: sampler, SampleFrac: 0.3, SampleSeed: 77,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got := c.LastRunStats().Shards; got != shards {
+			t.Fatalf("%s: run took %d shards, want %d", sampler, got, shards)
+		}
 		return res
 	}
 	for _, sampler := range []Sampler{SamplerUniform, SamplerKCenter} {
-		ref := run(1, sampler)
-		for _, w := range []int{2, 3, 7} {
-			got := run(w, sampler)
+		ref := run(1, 1, sampler)
+		for _, v := range []struct{ workers, shards int }{{2, 1}, {3, 1}, {7, 1}, {1, 4}, {2, 4}} {
+			got := run(v.workers, v.shards, sampler)
 			if got.NumClusters != ref.NumClusters {
-				t.Fatalf("%s workers=%d: %d clusters, want %d", sampler, w, got.NumClusters, ref.NumClusters)
+				t.Fatalf("%s %+v: %d clusters, want %d", sampler, v, got.NumClusters, ref.NumClusters)
 			}
 			// Labels are assigned from deterministic cell state, so they must
 			// be identical, not just permutation-equal.
 			for i := range ref.Labels {
 				if got.Labels[i] != ref.Labels[i] || got.Core[i] != ref.Core[i] {
-					t.Fatalf("%s workers=%d: point %d diverges", sampler, w, i)
+					t.Fatalf("%s %+v: point %d diverges", sampler, v, i)
 				}
+			}
+			if !reflect.DeepEqual(got.Border, ref.Border) {
+				t.Fatalf("%s %+v: border memberships diverge", sampler, v)
 			}
 		}
 	}

@@ -371,7 +371,7 @@ func submitStatus(err error) int {
 		return http.StatusGatewayTimeout
 	default:
 		// Everything else Submit returns is validation-shaped
-		// (ErrBadRequest, Config.Validate, ValidateEps).
+		// (ErrBadRequest, ValidateConfig, Config.Validate, ValidateEps).
 		return http.StatusBadRequest
 	}
 }
@@ -741,8 +741,7 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, bodyStatus(err), err)
 		return
 	}
-	cfg := req.Config.toConfig()
-	er := engine.Request{Config: cfg, Priority: req.Priority}
+	er := engine.Request{Config: req.Config.toConfig(), Priority: req.Priority}
 	switch sess.kind {
 	case "batch":
 		er.Clusterer = sess.clusterer
@@ -750,13 +749,6 @@ func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 		er.Streaming = sess.streaming
 	case "hierarchy":
 		er.Hierarchy = sess.hierarchy
-	}
-	// Reject an eps mismatch here, where it maps to 400: left to the run it
-	// would surface as a 500 job failure.
-	if sess.kind != "hierarchy" && cfg.Eps != 0 && cfg.Eps != sess.eps {
-		s.writeError(w, http.StatusBadRequest,
-			fmt.Errorf("session %s is built for eps=%v; config.eps must be 0 or equal (got %v)", sess.id, sess.eps, cfg.Eps))
-		return
 	}
 
 	// The submit context: background for async runs (the job outlives this

@@ -295,6 +295,7 @@ func TestStatusCodeMapping(t *testing.T) {
 	defer done()
 
 	small := tc.createSession(CreateSessionRequest{Kind: "batch", Eps: 3, Points: genPoints(500, 8)})
+	batch3 := tc.createSession(CreateSessionRequest{Kind: "batch", Eps: 3, Points: [][]float64{{0, 0, 0}, {1, 1, 1}, {2, 0, 1}}})
 	stream2 := tc.createSession(CreateSessionRequest{Kind: "streaming", Eps: 3, Dims: 2})
 	stream3 := tc.createSession(CreateSessionRequest{Kind: "streaming", Eps: 3, Dims: 3})
 
@@ -314,6 +315,7 @@ func TestStatusCodeMapping(t *testing.T) {
 		{"unknown method", "POST", "/v1/sessions/" + small.ID + "/runs", SubmitRunRequest{Config: ConfigJSON{MinPts: 5, Method: "magic"}, Wait: true}},
 		{"negative shards", "POST", "/v1/sessions/" + small.ID + "/runs", SubmitRunRequest{Config: ConfigJSON{MinPts: 5, Shards: -1}, Wait: true}},
 		{"eps mismatch", "POST", "/v1/sessions/" + small.ID + "/runs", SubmitRunRequest{Config: ConfigJSON{Eps: 7, MinPts: 5}, Wait: true}},
+		{"2D-only method on 3D batch", "POST", "/v1/sessions/" + batch3.ID + "/runs", SubmitRunRequest{Config: ConfigJSON{MinPts: 5, Method: "2d-grid-usec"}, Wait: true}},
 		{"streaming sampler", "POST", "/v1/sessions/" + stream2.ID + "/runs", SubmitRunRequest{Config: ConfigJSON{MinPts: 5, Sampler: "uniform", SampleFrac: 0.5}, Wait: true}},
 		{"streaming shards", "POST", "/v1/sessions/" + stream2.ID + "/runs", SubmitRunRequest{Config: ConfigJSON{MinPts: 5, Shards: 4}, Wait: true}},
 		{"2D-only method on 3D streaming", "POST", "/v1/sessions/" + stream3.ID + "/runs", SubmitRunRequest{Config: ConfigJSON{MinPts: 5, Method: "2d-grid-usec"}, Wait: true}},

@@ -10,10 +10,9 @@ import (
 // BenchmarkSharded compares the monolithic clustering phase (Shards = 1)
 // against the sharded partition/merge path at 1M points on a prepared
 // Clusterer, so the numbers isolate the execution architecture from the
-// (shared) grid build. Shard-level parallelism with serial per-shard phases
-// replaces the barrier-separated parallel loops of the monolithic pipeline;
-// the gap widens with core count (on a single-core runner the two are at
-// parity, the partition/merge overhead being within noise).
+// (shared) grid build. Both run every step as one parallel loop over the
+// window's cells; the sharded run differs by its merge step, which
+// evaluates the cross-shard pairs of the boundary cells.
 func BenchmarkSharded(b *testing.B) {
 	n := 1_000_000
 	if testing.Short() {

@@ -112,9 +112,9 @@ func TestShardedMatchesMonolithicAllMethods(t *testing.T) {
 	}
 }
 
-// TestShardedBucketingInteraction: explicit Shards wins over Bucketing (same
-// results either way), while auto shards defer to an explicit Bucketing
-// request and stay monolithic.
+// TestShardedBucketingInteraction: Bucketing at several shards gives the
+// one-shard result, and the auto heuristic follows the point count and the
+// worker budget alone.
 func TestShardedBucketingInteraction(t *testing.T) {
 	rows := blobs(2000, 2, 31)
 	cfg := Config{Eps: 2.5, MinPts: 5, Bucketing: true, Buckets: 4}
@@ -130,11 +130,7 @@ func TestShardedBucketingInteraction(t *testing.T) {
 	if err := labelsEqual(sh, mono); err != nil {
 		t.Fatalf("bucketing + shards: %v", err)
 	}
-	// The auto heuristic must resolve to 1 when Bucketing is set, and to >1
-	// for a large non-bucketed input.
-	if got := resolveShards(&Config{Bucketing: true}, 1<<20); got != 1 {
-		t.Fatalf("auto shards with Bucketing = %d, want 1", got)
-	}
+	// The auto heuristic resolves to >1 for a large input.
 	if got := resolveShards(&Config{}, 1<<20); got < 2 {
 		t.Fatalf("auto shards at 1M points = %d, want > 1", got)
 	}
